@@ -25,7 +25,9 @@ for i in range(1, 301):
     entries[word] = (np.log1p(i) * direction).astype(np.float32)
     counts[word] = i
 
-model = sc.EmbeddingModel(dim=10, entries=entries)
+# one float32 (V, D) matrix plus a word -> row map
+model = sc.EmbeddingModel(np.stack(list(entries.values())),
+                          {w: row for row, w in enumerate(entries)})
 workdir = Path(tempfile.mkdtemp())
 
 sc.write_embeddings(model, workdir / "vectors.txt", fmt="text")

@@ -1,7 +1,8 @@
 """From tokens to a single unit vector per context.
 
 The target word and all of its inflected forms are removed first (a shared
-prefix of at least max(4, len(target) - 2) characters counts as a form),
+prefix of at least max(4, len(target) - 2) characters, capped at the
+target's length, counts as a form),
 remaining tokens are weighted, the weight vector is L2-normalized, and the
 weighted sum of raw embeddings is L2-normalized again. The double
 normalization makes the result invariant to any common scaling of the
@@ -18,12 +19,11 @@ print("tokens:            ", tokens)
 print("after exclusion:   ", sc.exclude_target(tokens, "банка"))
 print("('бак' survives: common prefix is only 2 characters)\n")
 
-entries = {
-    "хранят": np.array([1.0, 0.0, 0.0], dtype=np.float32),
-    "огурцы": np.array([0.0, 2.0, 0.0], dtype=np.float32),
-    "бак":    np.array([0.0, 0.0, 0.5], dtype=np.float32),
-}
-model = sc.EmbeddingModel(dim=3, entries=entries)
+words = ["хранят", "огурцы", "бак"]
+vectors = np.array([[1.0, 0.0, 0.0],
+                    [0.0, 2.0, 0.0],
+                    [0.0, 0.0, 0.5]], dtype=np.float32)
+model = sc.EmbeddingModel(vectors, {w: row for row, w in enumerate(words)})
 idf = sc.IdfTable(n_docs=1, df={})
 chi2 = sc.Chi2Table(values={("банка", "хранят"): 3.0, ("банка", "огурцы"): 4.0,
                             ("банка", "бак"): 1.0})

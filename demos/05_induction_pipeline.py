@@ -36,7 +36,8 @@ for i, w in enumerate(noise):
     vec = np.zeros(dim)
     vec[2 + i % (dim - 2)] = rng.uniform(0.8, 1.2)
     entries[w] = vec.astype(np.float32)
-model = sc.EmbeddingModel(dim=dim, entries=entries)
+model = sc.EmbeddingModel(np.stack(list(entries.values())),
+                          {w: row for row, w in enumerate(entries)})
 
 rows = ["context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"]
 cid = 0

@@ -2,9 +2,9 @@
 
 from .cluster import (ClusteringConfig, ClusterResult, affinity_propagation,
                       agglomerative, cluster, dendrogram, pairwise_distances)
-from .dataset import ContextInstance, Dataset, parse_dataset, tokenize, write_predictions
+from .dataset import ContextInstance, Dataset, parse_dataset, write_predictions
 from .embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
-                         load_frequency_table, lookup, norm_frequency_report,
+                         load_frequency_table, norm_frequency_report,
                          write_embeddings)
 from .errors import DataError
 from .evaluate import EvalReport, Labeling, ari, confusion_matrix, evaluate
@@ -12,7 +12,8 @@ from .mt_label import Stemmer, TranslationRecord, label_by_translation, read_tra
 from .porter import porter_stem
 from .search import (SearchResult, SearchSpace, export_k_linkage_sweep,
                      export_power_heatmap, grid_search, serialize_config)
-from .vectorize import ContextVector, exclude_target, vectorize, vectorize_dataset
+from .text import exclude_target, tokenize
+from .vectorize import ContextVector, vectorize, vectorize_dataset
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
                         build_idf, chi2_statistic, combine, tfidf_weight)
 
@@ -27,7 +28,7 @@ __all__ = [
     "cluster", "combine", "confusion_matrix", "dendrogram", "evaluate",
     "exclude_target", "export_k_linkage_sweep", "export_power_heatmap",
     "grid_search", "label_by_translation", "load_embeddings",
-    "load_frequency_table", "lookup", "norm_frequency_report", "parse_dataset",
+    "load_frequency_table", "norm_frequency_report", "parse_dataset",
     "pairwise_distances", "porter_stem", "read_translations",
     "serialize_config", "tfidf_weight", "tokenize", "vectorize",
     "vectorize_dataset", "write_embeddings", "write_predictions",

@@ -3,7 +3,7 @@ diagnostics, and translation-based labeling.
 
 Exit codes: 0 success, 1 usage error (bad flags or constraint violations),
 2 data error (missing or malformed input files). All outputs are
-deterministic functions of the flags, the input files, and --seed.
+deterministic functions of the flags and the input files, whatever --jobs is.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ import sys
 from pathlib import Path
 
 from . import search as search_mod
-from .cluster import ClusteringConfig, affinity_propagation, agglomerative
-from .dataset import parse_dataset, tokenize, write_predictions
+from .cluster import ClusteringConfig, cluster
+from .dataset import parse_dataset, write_predictions
 from .embeddings import (load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
 from .errors import DataError
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate
 from .mt_label import Stemmer, label_by_translation, read_translations
-from .search import SearchSpace, grid_search, parse_space_file, serialize_config
+from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
+                     parse_space_file, serialize_config)
+from .text import tokenize
 from .vectorize import dump_vectors, vectorize_dataset
 from .weighting import (IdfTable, WeightingConfig, build_chi2, build_idf,
                         read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
@@ -47,9 +49,15 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
                    help="chi2 cache TSV from build-chi2 (default: computed from the dataset)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    p.add_argument("--jobs", type=int, default=1,
+def _jobs(value: str) -> int:
+    jobs = int(value)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel workers across words/configurations (default: 1)")
 
 
@@ -99,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="predictions TSV")
     p.add_argument("--dump-vectors", type=Path, default=None,
                    help="optional TSV dump of the context vectors")
-    _add_common_flags(p)
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("evaluate", help="score predictions against gold senses")
@@ -129,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heatmap-view", choices=("max", "default"), default="max",
                    help="heatmap cell = max over other dimensions, or the "
                         "default clustering config only (default: max)")
-    _add_common_flags(p)
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("norm-report",
@@ -177,20 +185,11 @@ def _load_idf(args) -> IdfTable:
 
 
 def _clustering_config(args) -> ClusteringConfig:
-    pref = args.preference
-    if isinstance(pref, str):
-        if pref == "auto":
-            pref = None
-        else:
-            try:
-                pref = float(pref)
-            except ValueError:
-                raise UsageError(f"--preference must be a number or 'auto', "
-                                 f"got {pref!r}") from None
     try:
         return ClusteringConfig(
             algorithm=args.algo, n_clusters=args.k, linkage=args.linkage,
-            metric=args.metric, damping=args.damping, preference=pref,
+            metric=args.metric, damping=args.damping,
+            preference=parse_preference(args.preference),
             max_iter=args.max_iter, convergence_window=args.convergence_window,
         )
     except ValueError as exc:
@@ -232,20 +231,12 @@ def cmd_cluster(args) -> int:
     chi2 = read_chi2_tsv(args.chi2) if args.chi2 else build_chi2(dataset)
 
     by_word = vectorize_dataset(dataset, model, idf, chi2, wcfg)
-    words = list(by_word)
-
-    def run_word(word):
-        ids, X = by_word[word]
-        if ccfg.algorithm == "agglomerative":
-            res = agglomerative(X, ccfg)
-        else:
-            res = affinity_propagation(X, ccfg)
-        return ids, res.labels
-
-    labeled = dict(zip(words, _parallel_map(run_word, words, args.jobs)))
+    groups = list(by_word.values())
+    labels = parallel_map(lambda group: cluster(group[1], ccfg).labels, groups,
+                          args.jobs)
     assignments = {cid: str(int(lab))
-                   for ids, labels in labeled.values()
-                   for cid, lab in zip(ids, labels)}
+                   for (ids, _), word_labels in zip(groups, labels)
+                   for cid, lab in zip(ids, word_labels)}
     write_predictions(dataset, Labeling(assignments), args.out)
     if args.dump_vectors is not None:
         vec_of = {cid: X[i] for ids, X in by_word.values()
@@ -253,14 +244,6 @@ def cmd_cluster(args) -> int:
         dump_vectors(((inst.context_id, vec_of[inst.context_id])
                       for inst in dataset.instances), args.dump_vectors)
     return 0
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_evaluate(args) -> int:

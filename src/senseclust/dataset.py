@@ -1,4 +1,4 @@
-"""Context dataset TSV parsing, tokenization, and prediction output.
+"""Context dataset TSV parsing and prediction output.
 
 The dataset format is a UTF-8 TSV with header columns context_id, word,
 gold_sense_id, predict_sense_id, positions, context. ``positions`` holds
@@ -9,42 +9,15 @@ inside ``context``; sense-id columns may be empty.
 from __future__ import annotations
 
 import sys
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .errors import DataError
-from .vectorize import matches_target_form
+from .text import matches_target_form, normalize_token, strip_punct, tokenize
 
 REQUIRED_COLUMNS = ("context_id", "word", "gold_sense_id", "predict_sense_id",
                     "positions", "context")
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
-def _strip_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and _is_punct(token[start]):
-        start += 1
-    while end > start and _is_punct(token[end - 1]):
-        end -= 1
-    return token[start:end]
-
-
-def tokenize(text: str) -> list[str]:
-    """Whitespace-split, strip surrounding punctuation, lowercase, drop empties.
-
-    Inner punctuation (hyphens etc.) and digits are kept.
-    """
-    out = []
-    for raw in text.split():
-        tok = _strip_punct(raw).lower()
-        if tok:
-            out.append(tok)
-    return out
 
 
 @dataclass
@@ -129,12 +102,14 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
         if context_id in seen_ids:
             raise DataError(f"{path}: row {lineno}: duplicate context_id {context_id!r}")
         seen_ids.add(context_id)
-        target = row[col["word"]].lower()
+        target = normalize_token(row[col["word"]])
+        if not target:
+            raise DataError(f"{path}: row {lineno}: empty word")
         context = row[col["context"]]
         spans = _parse_positions(row[col["positions"]], context, lineno, path)
         gold = row[col["gold_sense_id"]] or None
         for start, end in spans:
-            snippet = _strip_punct(context[start:end].lower())
+            snippet = normalize_token(strip_punct(context[start:end]))
             if not matches_target_form(snippet, target):
                 flags.append(
                     f"{path}: row {lineno}: span {start}-{end} text {snippet!r} "

@@ -7,49 +7,49 @@ downstream weighted averaging exploits.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-
-
-def normalize_token(token: str) -> str:
-    """Canonical key form for vocabulary entries and lookups: NFC + lowercase."""
-    return unicodedata.normalize("NFC", token).lower()
+from .text import normalize_token
 
 
 @dataclass
 class EmbeddingModel:
-    """Immutable word -> vector map with a fixed dimension.
+    """Word vectors as one float32 ``(V, D)`` matrix plus a word -> row map.
 
-    Entries are float32 arrays of length ``dim``, keyed by normalized word.
-    ``n_duplicates`` counts input entries that collided on the same
-    normalized key during loading (last occurrence wins).
+    ``index`` is keyed by normalized word. The loaders store one row per file
+    entry, so a word that occurs twice (after normalization) leaves its
+    earlier row unreferenced and the last occurrence wins; ``n_duplicates``
+    counts those rows.
     """
 
-    dim: int
-    entries: dict[str, np.ndarray]
-    source: str = ""
-    fmt: str = "text"
-    n_duplicates: int = 0
+    vectors: np.ndarray
+    index: dict[str, int]
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError(f"embedding dimension must be positive, got {self.dim}")
+        self.vectors = np.asarray(self.vectors, dtype=np.float32)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] <= 0:
+            raise ValueError("embedding matrix must be (V, D) with D positive, "
+                             f"got shape {self.vectors.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def n_duplicates(self) -> int:
+        return self.vectors.shape[0] - len(self.index)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Exact-match lookup after key normalization; None for OOV."""
-        return self.entries.get(normalize_token(token))
-
-
-def lookup(model: EmbeddingModel, token: str) -> np.ndarray | None:
-    return model.lookup(token)
+        row = self.index.get(normalize_token(token))
+        return None if row is None else self.vectors[row]
 
 
 @dataclass
@@ -110,7 +110,14 @@ def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
     raise ValueError(f"unknown embedding format {fmt!r} (expected 'text' or 'binary')")
 
 
-def _parse_header(line: str, path: Path) -> tuple[int, int]:
+def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
+              ) -> np.ndarray:
+    """Parse the header line and preallocate its ``(n_words, dim)`` matrix.
+
+    Every entry takes at least a one-byte word, a separator and
+    ``component_bytes`` per component, so a header that declares more
+    entries than the file can hold is rejected before allocating.
+    """
     parts = line.split()
     if len(parts) != 2:
         raise DataError(f"{path}: malformed header {line!r} (expected '<count> <dim>')")
@@ -120,21 +127,25 @@ def _parse_header(line: str, path: Path) -> tuple[int, int]:
         raise DataError(f"{path}: non-integer header {line!r}") from None
     if n_words <= 0 or dim <= 0:
         raise DataError(f"{path}: header counts must be positive, got {line!r}")
-    return n_words, dim
+    if n_words * (2 + component_bytes * dim) > file_bytes:
+        raise DataError(f"{path}: header declares {n_words} entries of dimension "
+                        f"{dim}, more than {file_bytes} bytes can hold")
+    return np.empty((n_words, dim), dtype=np.float32)
 
 
 def _load_text(path: Path) -> EmbeddingModel:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        n_words, dim = _parse_header(header, path)
-        entries: dict[str, np.ndarray] = {}
-        duplicates = 0
+        vectors = _allocate(fh.readline().rstrip("\n"), path, path.stat().st_size, 2)
+        n_words, dim = vectors.shape
+        index: dict[str, int] = {}
         n_rows = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            n_rows += 1
+            if n_rows == n_words:
+                n_rows += 1 + sum(1 for rest in fh if rest.rstrip("\n"))
+                break
             parts = line.split()
             word = normalize_token(parts[0])
             if len(parts) - 1 != dim:
@@ -143,18 +154,16 @@ def _load_text(path: Path) -> EmbeddingModel:
                     f"expected {dim}"
                 )
             try:
-                vec = np.array(parts[1:], dtype=np.float32)
+                vectors[n_rows] = parts[1:]
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric component") from None
-            if not np.isfinite(vec).all():
+            if not np.isfinite(vectors[n_rows]).all():
                 raise DataError(f"{path}: line {lineno}: non-finite component for {word!r}")
-            if word in entries:
-                duplicates += 1
-            entries[word] = vec
+            index[word] = n_rows
+            n_rows += 1
     if n_rows != n_words:
         raise DataError(f"{path}: header declares {n_words} entries but file has {n_rows}")
-    return EmbeddingModel(dim=dim, entries=entries, source=str(path), fmt="text",
-                          n_duplicates=duplicates)
+    return EmbeddingModel(vectors, index)
 
 
 def _load_binary(path: Path) -> EmbeddingModel:
@@ -162,11 +171,11 @@ def _load_binary(path: Path) -> EmbeddingModel:
     nl = buf.find(b"\n")
     if nl < 0:
         raise DataError(f"{path}: missing header line")
-    n_words, dim = _parse_header(buf[:nl].decode("utf-8", errors="replace"), path)
+    vectors = _allocate(buf[:nl].decode("utf-8", errors="replace"), path, len(buf), 4)
+    n_words, dim = vectors.shape
     pos = nl + 1
     vec_bytes = 4 * dim
-    entries: dict[str, np.ndarray] = {}
-    duplicates = 0
+    index: dict[str, int] = {}
     for i in range(n_words):
         while pos < len(buf) and buf[pos : pos + 1] == b"\n":
             pos += 1
@@ -180,17 +189,14 @@ def _load_binary(path: Path) -> EmbeddingModel:
         pos = sp + 1
         if pos + vec_bytes > len(buf):
             raise DataError(f"{path}: header declares {n_words} entries but file has {i}")
-        vec = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos).copy()
+        vectors[i] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
         pos += vec_bytes
-        if not np.isfinite(vec).all():
+        if not np.isfinite(vectors[i]).all():
             raise DataError(f"{path}: entry {i} ({word!r}): non-finite component")
-        if word in entries:
-            duplicates += 1
-        entries[word] = vec
+        index[word] = i
     if buf[pos:].strip(b"\n") != b"":
         raise DataError(f"{path}: trailing data after {n_words} declared entries")
-    return EmbeddingModel(dim=dim, entries=entries, source=str(path), fmt="binary",
-                          n_duplicates=duplicates)
+    return EmbeddingModel(vectors, index)
 
 
 def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text") -> None:
@@ -198,18 +204,19 @@ def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text")
     path = Path(path)
     if fmt == "text":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(model.entries)} {model.dim}\n")
-            for word, vec in model.entries.items():
+            fh.write(f"{len(model)} {model.dim}\n")
+            for word, row in model.index.items():
                 comps = " ".join(
-                    np.format_float_positional(v, unique=True, trim="0") for v in vec
+                    np.format_float_positional(v, unique=True, trim="0")
+                    for v in model.vectors[row]
                 )
                 fh.write(f"{word} {comps}\n")
     elif fmt == "binary":
         with open(path, "wb") as fh:
-            fh.write(f"{len(model.entries)} {model.dim}\n".encode("utf-8"))
-            for word, vec in model.entries.items():
+            fh.write(f"{len(model)} {model.dim}\n".encode("utf-8"))
+            for word, row in model.index.items():
                 fh.write(word.encode("utf-8") + b" ")
-                fh.write(np.asarray(vec, dtype="<f4").tobytes())
+                fh.write(model.vectors[row].astype("<f4").tobytes())
                 fh.write(b"\n")
     else:
         raise ValueError(f"unknown embedding format {fmt!r}")
@@ -230,9 +237,9 @@ def norm_frequency_report(
     """
     if sample_size <= 0:
         raise ValueError("sample_size must be positive")
-    if not model.entries:
+    if not model.index:
         raise ValueError("embedding model is empty")
-    eligible = sorted(set(model.entries) & set(freqs.counts))
+    eligible = sorted(set(model.index) & set(freqs.counts))
     if not eligible:
         raise ValueError("no overlap between model vocabulary and frequency table")
     k = min(sample_size, len(eligible))
@@ -241,7 +248,7 @@ def norm_frequency_report(
     rows = []
     for idx in picked:
         word = eligible[int(idx)]
-        norm = float(np.linalg.norm(model.entries[word].astype(np.float64)))
+        norm = float(np.linalg.norm(model.vectors[model.index[word]].astype(np.float64)))
         rows.append((word, freqs.counts[word], norm))
     return rows
 

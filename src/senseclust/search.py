@@ -11,15 +11,15 @@ independent of evaluation order and of the worker count.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import (LINKAGES, METRICS, ClusteringConfig, affinity_propagation,
-                      cut_merges, dendrogram)
+from .cluster import (LINKAGES, ClusteringConfig, affinity_propagation, cut_merges,
+                      dendrogram)
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
 from .errors import DataError
@@ -28,6 +28,26 @@ from .vectorize import vectorize_dataset
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
 
 AUTO_PREFERENCE = "auto"
+
+
+def parse_preference(value) -> float | None:
+    """``"auto"`` (the median similarity) as None, anything else as a number."""
+    if value == AUTO_PREFERENCE:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"preference must be a number or 'auto', got {value!r}") from None
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]``, run on ``jobs`` threads, in input order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return [fn(x) for x in items]
+    with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -43,64 +63,50 @@ class SearchSpace:
     algorithms: tuple[str, ...] = ("agglomerative", "affinity_propagation")
 
     def __post_init__(self):
+        # Grid values are validated by building the configs they stand for.
+        # ``configs()`` covers powers, linkages and the AP grids; k and the
+        # metrics get one config each, since a metric paired only with ward
+        # never reaches ``configs()``.
         if not self.power_grid or not self.algorithms:
             raise ValueError("power_grid and algorithms must be non-empty")
-        for p in self.power_grid:
-            WeightingConfig(p_tfidf=p, p_chi2=p)  # range check
+        for algo in self.algorithms:
+            ClusteringConfig(algorithm=algo)
         if "agglomerative" in self.algorithms:
             if not (self.k_grid and self.linkages and self.metrics):
                 raise ValueError("agglomerative grids must be non-empty")
             for k in self.k_grid:
-                if not 1 <= k <= 14:
-                    raise ValueError(f"k_grid value {k} outside 1..14")
-            for lk in self.linkages:
-                if lk not in LINKAGES:
-                    raise ValueError(f"unknown linkage {lk!r}")
+                ClusteringConfig(n_clusters=k)
             for m in self.metrics:
-                if m not in METRICS:
-                    raise ValueError(f"unknown metric {m!r}")
+                ClusteringConfig(linkage="average", metric=m)
+            skipped = [m for m in self.metrics if m != "euclidean"]
+            if "ward" in self.linkages and skipped:
+                warnings.warn("ward linkage is euclidean-only; excluding ward with "
+                              + ", ".join(skipped), stacklevel=2)
+        if "affinity_propagation" in self.algorithms and not (
+                self.damping_grid and self.preference_grid):
+            raise ValueError("affinity propagation grids must be non-empty")
+        self.configs()
+
+    def configs(self) -> list[tuple[WeightingConfig, ClusteringConfig]]:
+        """Every (weighting, clustering) pair of the space, power pair major;
+        an agglomerative config stands for every k in ``k_grid``."""
+        weightings = [WeightingConfig(p_tfidf=pt, p_chi2=pc)
+                      for pt in self.power_grid for pc in self.power_grid]
+        clusterings = []
+        if "agglomerative" in self.algorithms:
+            clusterings += [ClusteringConfig(linkage=lk, metric=m)
+                            for lk in self.linkages for m in self.metrics
+                            if lk != "ward" or m == "euclidean"]
         if "affinity_propagation" in self.algorithms:
-            if not (self.damping_grid and self.preference_grid):
-                raise ValueError("affinity propagation grids must be non-empty")
-            for d in self.damping_grid:
-                if not 0.5 <= d < 1.0:
-                    raise ValueError(f"damping {d} outside [0.5, 1)")
-            for p in self.preference_grid:
-                if p != AUTO_PREFERENCE and not -20.0 <= float(p) <= 5.0:
-                    raise ValueError(f"preference {p} outside [-20, 5]")
-        for algo in self.algorithms:
-            if algo not in ("agglomerative", "affinity_propagation"):
-                raise ValueError(f"unknown algorithm {algo!r}")
-        skipped = self._skipped_ward_metrics()
-        if skipped:
-            warnings.warn(
-                "ward linkage is euclidean-only; excluding ward with "
-                + ", ".join(skipped), stacklevel=2,
-            )
-
-    def _skipped_ward_metrics(self) -> list[str]:
-        if "agglomerative" not in self.algorithms or "ward" not in self.linkages:
-            return []
-        return [m for m in self.metrics if m != "euclidean"]
-
-    def _linkage_metric_pairs(self) -> list[tuple[str, str]]:
-        pairs = []
-        for lk in self.linkages:
-            for m in self.metrics:
-                if lk == "ward" and m != "euclidean":
-                    continue
-                pairs.append((lk, m))
-        return pairs
+            clusterings += [ClusteringConfig(algorithm="affinity_propagation", damping=d,
+                                             preference=parse_preference(p))
+                            for d in self.damping_grid for p in self.preference_grid]
+        return [(w, c) for w in weightings for c in clusterings]
 
     def size(self) -> int:
         """Number of valid configurations (per-algorithm spaces summed)."""
-        n_powers = len(self.power_grid) ** 2
-        total = 0
-        if "agglomerative" in self.algorithms:
-            total += n_powers * len(self.k_grid) * len(self._linkage_metric_pairs())
-        if "affinity_propagation" in self.algorithms:
-            total += n_powers * len(self.damping_grid) * len(self.preference_grid)
-        return total
+        return sum(len(self.k_grid) if c.algorithm == "agglomerative" else 1
+                   for _, c in self.configs())
 
 
 class SearchEntry(NamedTuple):
@@ -155,68 +161,40 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     """Exhaustively score every configuration in the space on train ARI."""
     if not any(inst.gold_sense is not None for inst in dataset.instances):
         raise ValueError("grid search needs gold senses in the dataset")
-    power_pairs = [(pt, pc) for pt in space.power_grid for pc in space.power_grid]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-vector warnings repeat 36x here
         vectors = {
             (pt, pc): vectorize_dataset(dataset, model, idf, chi2,
                                         WeightingConfig(p_tfidf=pt, p_chi2=pc))
-            for (pt, pc) in power_pairs
+            for pt in space.power_grid for pc in space.power_grid
         }
 
-    tasks = []
-    if "agglomerative" in space.algorithms:
-        for (pt, pc) in power_pairs:
-            for linkage, metric in space._linkage_metric_pairs():
-                tasks.append(("agglomerative", pt, pc, linkage, metric))
-    if "affinity_propagation" in space.algorithms:
-        for (pt, pc) in power_pairs:
-            for damping in space.damping_grid:
-                for pref in space.preference_grid:
-                    tasks.append(("affinity_propagation", pt, pc, damping, pref))
-
-    def run_task(task) -> list[SearchEntry]:
+    def run_task(task: tuple[WeightingConfig, ClusteringConfig]) -> list[SearchEntry]:
+        wcfg, ccfg = task
+        by_word = vectors[(wcfg.p_tfidf, wcfg.p_chi2)]
+        if ccfg.algorithm == "affinity_propagation":
+            labeled = {w: (ids, affinity_propagation(X, ccfg).labels)
+                       for w, (ids, X) in by_word.items()}
+            return [SearchEntry(ccfg, wcfg, _score(dataset, labeled))]
+        # One merge sequence per word serves every k.
+        merges = {w: dendrogram(X, ccfg.linkage, ccfg.metric)
+                  for w, (_, X) in by_word.items()}
         entries = []
-        wcfg = WeightingConfig(p_tfidf=task[1], p_chi2=task[2])
-        by_word = vectors[(task[1], task[2])]
-        if task[0] == "agglomerative":
-            _, _, _, linkage, metric = task
-            merges = {w: dendrogram(X, linkage, metric)
-                      for w, (_, X) in by_word.items()}
-            for k in space.k_grid:
-                labeled = {
-                    w: (ids, cut_merges(merges[w], len(ids), min(k, len(ids))))
-                    for w, (ids, _) in by_word.items()
-                }
-                ccfg = ClusteringConfig(algorithm="agglomerative", n_clusters=k,
-                                        linkage=linkage, metric=metric)
-                entries.append(SearchEntry(ccfg, wcfg, _score(dataset, labeled)))
-        else:
-            _, _, _, damping, pref = task
-            ccfg = ClusteringConfig(
-                algorithm="affinity_propagation", damping=damping,
-                preference=None if pref == AUTO_PREFERENCE else float(pref),
-            )
-            labeled = {}
-            for w, (ids, X) in by_word.items():
-                res = affinity_propagation(X, ccfg)
-                labeled[w] = (ids, res.labels)
-            entries.append(SearchEntry(ccfg, wcfg, _score(dataset, labeled)))
+        for k in space.k_grid:
+            labeled = {
+                w: (ids, cut_merges(merges[w], len(ids), min(k, len(ids))))
+                for w, (ids, _) in by_word.items()
+            }
+            entries.append(SearchEntry(replace(ccfg, n_clusters=k), wcfg,
+                                       _score(dataset, labeled)))
         return entries
 
-    results: list[list[SearchEntry]] = [[] for _ in tasks]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, entries in enumerate(pool.map(run_task, tasks)):
-                results[i] = entries
-    else:
-        for i, task in enumerate(tasks):
-            results[i] = run_task(task)
-
-    ranked = [e for chunk in results for e in chunk]
+    ranked = [e for chunk in parallel_map(run_task, space.configs(), jobs) for e in chunk]
     ranked.sort(key=lambda e: (-e.train_ari,
                                serialize_config(e.clustering, e.weighting)))
-    assert len(ranked) == space.size()
+    if len(ranked) != space.size():
+        raise RuntimeError(f"grid search scored {len(ranked)} configs, "
+                           f"expected {space.size()}")
     return SearchResult(ranked=ranked)
 
 
@@ -290,28 +268,28 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                 raise DataError(f"{path}: line {lineno}: expected 'key = value'")
             key = key.strip()
             items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "power_grid":
-                kwargs[key] = tuple(float(v) for v in items)
-            elif key == "k_grid":
-                ks: list[int] = []
-                for v in items:
-                    if ".." in v:
-                        lo, hi = v.split("..")
-                        ks.extend(range(int(lo), int(hi) + 1))
-                    else:
-                        ks.append(int(v))
-                kwargs[key] = tuple(ks)
-            elif key in ("linkages", "metrics", "algorithms"):
-                kwargs[key] = tuple(items)
-            elif key == "damping_grid":
-                kwargs[key] = tuple(float(v) for v in items)
-            elif key == "preference_grid":
-                kwargs[key] = tuple(
-                    AUTO_PREFERENCE if v == AUTO_PREFERENCE else float(v)
-                    for v in items
-                )
-            else:
-                raise DataError(f"{path}: line {lineno}: unknown key {key!r}")
+            try:
+                if key in ("power_grid", "damping_grid"):
+                    kwargs[key] = tuple(float(v) for v in items)
+                elif key == "k_grid":
+                    ks: list[int] = []
+                    for v in items:
+                        if ".." in v:
+                            lo, hi = v.split("..")
+                            ks.extend(range(int(lo), int(hi) + 1))
+                        else:
+                            ks.append(int(v))
+                    kwargs[key] = tuple(ks)
+                elif key in ("linkages", "metrics", "algorithms"):
+                    kwargs[key] = tuple(items)
+                elif key == "preference_grid":
+                    kwargs[key] = tuple(v if v == AUTO_PREFERENCE else float(v)
+                                        for v in items)
+                else:
+                    raise DataError(f"{path}: line {lineno}: unknown key {key!r}")
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: bad {key} value "
+                                f"{value.strip()!r}") from None
     try:
         return SearchSpace(**kwargs)
     except ValueError as exc:

@@ -1,0 +1,65 @@
+"""Text normalization, tokenization and target-form exclusion.
+
+Every word that becomes a lookup key -- context tokens, dataset targets,
+embedding, frequency, idf and chi2 table entries -- goes through
+``normalize_token``, so an NFD-encoded token finds the same entries as its
+NFC form.
+"""
+
+from __future__ import annotations
+
+import unicodedata
+from typing import Sequence
+
+# Minimum shared-prefix length for a token to count as a form of the target.
+# Russian inflection is suffixal, so a long common prefix is a cheap stand-in
+# for lemma identity; the floor keeps short unrelated words from matching.
+PREFIX_FLOOR = 4
+
+
+def normalize_token(token: str) -> str:
+    """Canonical key form for vocabulary entries and lookups: NFC + lowercase."""
+    return unicodedata.normalize("NFC", token).lower()
+
+
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def strip_punct(token: str) -> str:
+    """Drop leading and trailing Unicode punctuation characters."""
+    start, end = 0, len(token)
+    while start < end and _is_punct(token[start]):
+        start += 1
+    while end > start and _is_punct(token[end - 1]):
+        end -= 1
+    return token[start:end]
+
+
+def tokenize(text: str) -> list[str]:
+    """Whitespace-split, strip surrounding punctuation, normalize, drop empties.
+
+    Inner punctuation (hyphens etc.) and digits are kept.
+    """
+    out = []
+    for raw in text.split():
+        tok = normalize_token(strip_punct(raw))
+        if tok:
+            out.append(tok)
+    return out
+
+
+def matches_target_form(token: str, target: str) -> bool:
+    """True when token is treated as a grammatical form of the target word.
+
+    The shared prefix must reach max(PREFIX_FLOOR, len(target) - 2)
+    characters, capped at len(target) so that a short target still matches
+    itself and its extensions.
+    """
+    threshold = min(len(target), max(PREFIX_FLOOR, len(target) - 2))
+    return token.startswith(target[:threshold])
+
+
+def exclude_target(tokens: Sequence[str], target: str) -> list[str]:
+    """Drop every token matching the target by the shared-prefix rule."""
+    return [t for t in tokens if not matches_target_form(t, target)]

@@ -10,38 +10,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .dataset import ContextInstance
-    from .embeddings import EmbeddingModel
-    from .weighting import Chi2Table, IdfTable, WeightingConfig
-
-# Minimum shared-prefix length for a token to count as a form of the target.
-# Russian inflection is suffixal, so a long common prefix is a cheap stand-in
-# for lemma identity; the floor keeps short unrelated words from matching.
-PREFIX_FLOOR = 4
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return n
-
-
-def matches_target_form(token: str, target: str) -> bool:
-    """True when token is treated as a grammatical form of the target word."""
-    return _common_prefix_len(token, target) >= max(PREFIX_FLOOR, len(target) - 2)
-
-
-def exclude_target(tokens: Sequence[str], target: str) -> list[str]:
-    """Drop every token matching the target by the shared-prefix rule."""
-    return [t for t in tokens if not matches_target_form(t, target)]
+from .dataset import ContextInstance
+from .embeddings import EmbeddingModel
+from .text import exclude_target, normalize_token
+from .weighting import Chi2Table, IdfTable, WeightingConfig, combine, tfidf_weight
 
 
 @dataclass
@@ -88,15 +64,13 @@ def vectorize(
     tf-idf/chi-square combined weight. An all-OOV, all-excluded, or exactly
     cancelling context yields the zero vector with n_contributing = 0.
     """
-    from .weighting import combine, tfidf_weight
-
     kept = exclude_target(instance.tokens, instance.target)
-    embs: list[np.ndarray] = []
+    rows: list[int] = []
     weights: list[float] = []
     weight_cache: dict[str, float] = {}
     for tok in kept:
-        emb = model.lookup(tok)
-        if emb is None:
+        row = model.index.get(normalize_token(tok))
+        if row is None:
             continue
         if tok not in weight_cache:
             weight_cache[tok] = combine(
@@ -104,11 +78,11 @@ def vectorize(
                 chi2.value(instance.target, tok),
                 cfg,
             )
-        embs.append(emb)
+        rows.append(row)
         weights.append(weight_cache[tok])
 
     n_contributing = sum(1 for w in weights if w > 0)
-    v = weighted_unit_average(embs, weights, model.dim)
+    v = weighted_unit_average(model.vectors[rows], weights, model.dim)
     if n_contributing > 0 and not v.any():
         # Exact cancellation: treat like an empty context.
         n_contributing = 0

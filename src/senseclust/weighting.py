@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataError
+from .text import exclude_target, normalize_token
 
 if TYPE_CHECKING:
     from .dataset import Dataset
@@ -111,8 +112,6 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
     target's forms). With a single distinct target every margin degenerates,
     so the table is all-zero and flagged.
     """
-    from .vectorize import exclude_target
-
     presence = [set(exclude_target(inst.tokens, inst.target))
                 for inst in dataset.instances]
     n_total = len(presence)
@@ -172,7 +171,7 @@ def read_idf_tsv(path: str | Path) -> IdfTable:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected 'word<TAB>df'")
-            df[parts[0]] = int(parts[1])
+            df[normalize_token(parts[0])] = int(parts[1])
     if n_docs is None:
         raise DataError(f"{path}: missing '# n_docs=...' header")
     return IdfTable(n_docs=n_docs, df=df)
@@ -201,5 +200,6 @@ def read_chi2_tsv(path: str | Path) -> Chi2Table:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}: line {lineno}: expected 'target<TAB>word<TAB>chi2'")
-            values[(parts[0], parts[1])] = float(parts[2])
+            target, word, value = parts
+            values[(normalize_token(target), normalize_token(word))] = float(value)
     return Chi2Table(values=values, single_target=single)

@@ -15,6 +15,12 @@ from senseclust.dataset import parse_dataset
 from senseclust.embeddings import EmbeddingModel
 from senseclust.weighting import build_idf
 
+def model_from_entries(entries: dict) -> EmbeddingModel:
+    """EmbeddingModel holding ``entries`` (word -> vector) in insertion order."""
+    return EmbeddingModel(np.array(list(entries.values()), dtype=np.float32),
+                          {w: i for i, w in enumerate(entries)})
+
+
 HEADER = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
 
 SENSE_VOCABS = {
@@ -43,7 +49,7 @@ def build_model(dim=8, seed=0) -> EmbeddingModel:
         vec[2 + i % (dim - 2)] = rng.uniform(0.8, 1.2)
         vec += rng.normal(scale=0.03, size=dim)
         entries[w] = vec.astype(np.float32)
-    return EmbeddingModel(dim=dim, entries=entries)
+    return model_from_entries(entries)
 
 
 def write_dataset(path, contexts_per_sense=40, sense_tokens=8, noise_tokens=3,

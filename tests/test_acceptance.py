@@ -18,7 +18,7 @@ from senseclust.search import SearchSpace, grid_search
 from senseclust.vectorize import vectorize, weighted_unit_average
 from senseclust.weighting import (Chi2Table, WeightingConfig, build_chi2,
                                   chi2_statistic)
-from senseclust.embeddings import EmbeddingModel, FrequencyTable, norm_frequency_report
+from senseclust.embeddings import FrequencyTable, norm_frequency_report
 
 import synthetic
 from oracles import (naive_agglomerative, pair_counting_ari, partitions_equal,
@@ -230,7 +230,7 @@ def test_norm_frequency_diagnostic():
         direction /= np.linalg.norm(direction)
         entries[f"w{i:03d}"] = (np.log1p(i) * direction).astype(np.float32)
         counts[f"w{i:03d}"] = i
-    model = EmbeddingModel(dim=6, entries=entries)
+    model = synthetic.model_from_entries(entries)
     rows = norm_frequency_report(model, FrequencyTable(counts),
                                  sample_size=10**6, seed=0)
     rho = spearman_rank_correlation([f for _, f, _ in rows],

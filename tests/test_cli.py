@@ -15,7 +15,7 @@ def workspace(tmp_path):
     write_embeddings(model, tmp_path / "emb.txt", fmt="text")
     write_embeddings(model, tmp_path / "emb.bin", fmt="binary")
     synthetic.write_dataset(tmp_path / "train.tsv", contexts_per_sense=10, seed=0)
-    vocab = sorted(model.entries)
+    vocab = sorted(model.index)
     corpus_lines = []
     for i in range(0, len(vocab) - 10, 7):
         corpus_lines.append(" ".join(vocab[i:i + 10]))
@@ -98,6 +98,36 @@ def test_cluster_binary_embeddings_equivalent(workspace):
     run_cli("cluster", "--embeddings", workspace / "emb.bin",
             "--format", "binary", *common, "--out", workspace / "pb.tsv")
     assert (workspace / "pt.tsv").read_text() == (workspace / "pb.tsv").read_text()
+
+
+def test_cluster_jobs_do_not_change_predictions(workspace):
+    run_cli("build-idf", "--corpus", workspace / "corpus.txt",
+            "--out", workspace / "idf.tsv")
+    for algo in ("agglomerative", "affinity_propagation"):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = workspace / f"pred-{algo}-{jobs}.tsv"
+            assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
+                           "--dataset", workspace / "train.tsv", "--algo", algo,
+                           "--idf", workspace / "idf.tsv", "--jobs", jobs,
+                           "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_jobs_below_one_and_seed_are_usage_errors(workspace):
+    cluster = ("cluster", "--embeddings", workspace / "emb.txt",
+               "--dataset", workspace / "train.tsv", "--p-tfidf", "0",
+               "--p-chi2", "0", "--out", workspace / "x.tsv")
+    search = ("grid-search", "--embeddings", workspace / "emb.txt",
+              "--dataset", workspace / "train.tsv", "--idf", workspace / "none.tsv",
+              "--out-ranked", workspace / "ranked.csv")
+    assert run_cli(*cluster) == 0
+    assert run_cli(*search) == 2  # the missing idf file is only read after parsing
+    for argv in (cluster, search):
+        assert run_cli(*argv, "--jobs", "0") == 1
+        assert run_cli(*argv, "--jobs", "-2") == 1
+        assert run_cli(*argv, "--seed", "3") == 1
 
 
 def test_evaluate_reports_ari(workspace, capsys):

@@ -44,6 +44,10 @@ def test_missing_field_names_row(tmp_path):
     path = make_tsv(tmp_path, ["c1\tбанк\t1\t\t0-4"])
     with pytest.raises(DataError, match="row 2"):
         parse_dataset(path)
+    # an empty target would count every token as one of its forms
+    path = make_tsv(tmp_path, ["c1\t\t1\t\t0-4\tбанк тут"], name="b.tsv")
+    with pytest.raises(DataError, match="row 2: empty word"):
+        parse_dataset(path)
 
 
 def test_missing_column(tmp_path):

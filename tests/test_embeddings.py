@@ -3,11 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from senseclust.embeddings import (EmbeddingModel, FrequencyTable,
-                                   load_embeddings, load_frequency_table,
-                                   norm_frequency_report, write_embeddings)
+from senseclust.embeddings import (FrequencyTable, load_embeddings,
+                                   load_frequency_table, norm_frequency_report,
+                                   write_embeddings)
 from senseclust.errors import DataError
 
+import synthetic
 from oracles import spearman_rank_correlation
 
 TEXT_FIXTURE = "2 3\na 1 0 0\nb 0 1 0\n"
@@ -30,6 +31,11 @@ def test_load_text(tmp_path):
 def test_count_mismatch(tmp_path):
     with pytest.raises(DataError, match="declares 3"):
         load_embeddings(write_text(tmp_path, "3 2\na 1 0\nb 0 1\n"))
+    with pytest.raises(DataError, match="declares 1 entries but file has 2"):
+        load_embeddings(write_text(tmp_path, "1 2\na 1 0\nb 0 1\n"))
+    # a count no file of this size can hold is rejected before allocating
+    with pytest.raises(DataError, match="declares 1000000000000"):
+        load_embeddings(write_text(tmp_path, "1000000000000 300\na 1 0\n"))
 
 
 def test_malformed_header(tmp_path):
@@ -63,8 +69,8 @@ def test_binary_matches_text(tmp_path):
     binary = load_embeddings(path, fmt="binary")
     text = load_embeddings(write_text(tmp_path, TEXT_FIXTURE))
     assert binary.dim == text.dim
-    assert set(binary.entries) == set(text.entries)
-    for word in text.entries:
+    assert set(binary.index) == set(text.index)
+    for word in text.index:
         np.testing.assert_allclose(binary.lookup(word), text.lookup(word), atol=1e-6)
 
 
@@ -82,6 +88,9 @@ def test_binary_truncated(tmp_path):
     path.write_bytes(b"2 2\nx " + struct.pack("<2f", 1, 2))
     with pytest.raises(DataError, match="declares 2"):
         load_embeddings(path, fmt="binary")
+    path.write_bytes(b"1000000000000 300\nx " + struct.pack("<2f", 1, 2))
+    with pytest.raises(DataError, match="declares 1000000000000"):
+        load_embeddings(path, fmt="binary")
 
 
 def test_binary_non_finite(tmp_path):
@@ -96,7 +105,7 @@ def test_write_read_round_trip(tmp_path, fmt):
     rng = np.random.default_rng(7)
     entries = {f"w{i}": rng.normal(scale=10.0, size=5).astype(np.float32)
                for i in range(40)}
-    model = EmbeddingModel(dim=5, entries=entries)
+    model = synthetic.model_from_entries(entries)
     path = tmp_path / f"rt.{fmt}"
     write_embeddings(model, path, fmt=fmt)
     back = load_embeddings(path, fmt=fmt)
@@ -112,12 +121,11 @@ def test_lookup_normalization(tmp_path):
 
 def test_lookup_does_not_mutate(tmp_path):
     model = load_embeddings(write_text(tmp_path, TEXT_FIXTURE))
-    before = {w: v.copy() for w, v in model.entries.items()}
+    before = model.vectors.copy()
     for _ in range(3):
         model.lookup("a")
         model.lookup("zz")
-    for w, v in model.entries.items():
-        np.testing.assert_array_equal(v, before[w])
+    np.testing.assert_array_equal(model.vectors, before)
 
 
 def test_frequency_table_defaults():
@@ -150,7 +158,7 @@ def _synthetic_model(n_words=100, dim=6):
         direction /= np.linalg.norm(direction)
         entries[f"w{i:03d}"] = (np.log1p(i) * direction).astype(np.float32)
         counts[f"w{i:03d}"] = i
-    return EmbeddingModel(dim=dim, entries=entries), FrequencyTable(counts)
+    return synthetic.model_from_entries(entries), FrequencyTable(counts)
 
 
 def test_report_clamps_to_vocabulary():

@@ -3,11 +3,10 @@ import pytest
 
 from senseclust.cluster import ClusteringConfig, agglomerative
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
-from senseclust.embeddings import EmbeddingModel
 from senseclust.errors import DataError
 from senseclust.evaluate import Labeling, evaluate
 from senseclust.search import (SearchSpace, export_k_linkage_sweep,
-                               export_power_heatmap, grid_search,
+                               export_power_heatmap, grid_search, parallel_map,
                                parse_space_file, serialize_config)
 from senseclust.weighting import WeightingConfig, build_chi2
 
@@ -49,6 +48,13 @@ def test_space_validation():
         SearchSpace(damping_grid=(0.3,), algorithms=("affinity_propagation",))
     with pytest.raises(ValueError):
         SearchSpace(preference_grid=(-25.0,), algorithms=("affinity_propagation",))
+    with pytest.raises(ValueError, match="linkage"):
+        SearchSpace(linkages=("single",), algorithms=("agglomerative",))
+    with pytest.raises(ValueError, match="metric"):
+        SearchSpace(linkages=("ward",), metrics=("chebyshev",),
+                    algorithms=("agglomerative",))
+    with pytest.raises(ValueError, match="algorithm"):
+        SearchSpace(algorithms=("kmeans",))
 
 
 def test_single_config_matches_direct_evaluate(small_problem):
@@ -85,7 +91,7 @@ def _unique_token_dataset():
                 context_id=f"c{cid}", target=target, gold_sense=str(i % 2),
                 target_spans=[], raw_context=tok, tokens=[tok]))
             cid += 1
-    model = EmbeddingModel(dim=4, entries=entries)
+    model = synthetic.model_from_entries(entries)
     return Dataset(instances=instances, by_target=by_target), model
 
 
@@ -124,6 +130,15 @@ def test_jobs_do_not_change_output(small_problem):
     serial = grid_search(dataset, model, idf, chi2, space, jobs=1)
     parallel = grid_search(dataset, model, idf, chi2, space, jobs=4)
     assert serial.ranked == parallel.ranked
+
+
+def test_parallel_map_keeps_order_and_rejects_no_workers():
+    items = list(range(50))
+    for jobs in (1, 2, 8):
+        assert parallel_map(lambda x: x * x, items, jobs) == [x * x for x in items]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            parallel_map(lambda x: x, items, jobs)
 
 
 def test_monotone_dominance(small_problem):
@@ -209,3 +224,9 @@ def test_parse_space_file(tmp_path):
     bad.write_text("mystery = 1\n", encoding="utf-8")
     with pytest.raises(DataError):
         parse_space_file(bad)
+    for text in ("power_grid = x\n", "# k\n\nk_grid = 1..b\n",
+                 "\n\ndamping_grid = 0.5, half\n", "\n\npreference_grid = low\n"):
+        lineno = text.count("\n")
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"bad.cfg: line {lineno}: "):
+            parse_space_file(bad)

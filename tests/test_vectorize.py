@@ -1,11 +1,16 @@
+import math
+import unicodedata
+
 import numpy as np
 import pytest
 
-from senseclust.dataset import ContextInstance
-from senseclust.embeddings import EmbeddingModel
-from senseclust.vectorize import (exclude_target, matches_target_form,
-                                  vectorize, weighted_unit_average)
-from senseclust.weighting import Chi2Table, IdfTable, WeightingConfig
+from senseclust.dataset import ContextInstance, parse_dataset
+from senseclust.text import exclude_target, matches_target_form
+from senseclust.vectorize import vectorize, weighted_unit_average
+from senseclust.weighting import (Chi2Table, IdfTable, WeightingConfig,
+                                  read_chi2_tsv, read_idf_tsv)
+
+import synthetic
 
 
 def make_instance(tokens, target="zzzzz", cid="c1"):
@@ -15,9 +20,7 @@ def make_instance(tokens, target="zzzzz", cid="c1"):
 
 
 def make_model(entries):
-    dim = len(next(iter(entries.values())))
-    return EmbeddingModel(dim=dim, entries={
-        w: np.asarray(v, dtype=np.float32) for w, v in entries.items()})
+    return synthetic.model_from_entries(entries)
 
 
 FLAT_IDF = IdfTable(n_docs=1, df={})
@@ -44,6 +47,9 @@ def test_prefix_threshold_arithmetic():
     # short targets floor at 4
     assert matches_target_form("катер", "кате")
     assert not matches_target_form("кат", "кате")
+    # ...but the threshold never exceeds the target's own length
+    assert exclude_target(["лук", "лука", "стол"], "лук") == ["стол"]
+    assert not matches_target_form("лес", "лук")
 
 
 # --- vectorize -------------------------------------------------------------
@@ -175,3 +181,40 @@ def test_zero_chi2_with_positive_exponent_suppresses_token():
                    WeightingConfig(0.0, 1.0))
     np.testing.assert_allclose(cv.v, [1.0, 0.0], atol=1e-12)
     assert cv.n_contributing == 1
+
+
+def test_nfd_token_gets_nfc_entries(tmp_path):
+    """One normalization point: an NFD context token, target, idf key or chi2
+    key finds the same entries as its NFC form."""
+    def nfd(word):
+        return unicodedata.normalize("NFD", word)
+
+    assert nfd("йод") != "йод" and nfd("бой") != "бой"
+    header = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
+    (tmp_path / "ds.tsv").write_text(
+        f"{header}\n"
+        f"c1\t{nfd('бой')}\t\t\t0-4\t{nfd('бой')} {nfd('йод')} вода\n"
+        f"c2\tбой\t\t\t0-3\tбой йод вода\n", encoding="utf-8")
+    (tmp_path / "idf.tsv").write_text(f"# n_docs=10\n{nfd('йод')}\t1\nвода\t5\n",
+                                      encoding="utf-8")
+    (tmp_path / "chi2.tsv").write_text(
+        f"{nfd('бой')}\tвода\t1.0\nбой\t{nfd('йод')}\t4.0\n", encoding="utf-8")
+    dataset = parse_dataset(tmp_path / "ds.tsv")
+    idf = read_idf_tsv(tmp_path / "idf.tsv")
+    chi2 = read_chi2_tsv(tmp_path / "chi2.tsv")
+
+    assert dataset.warnings == []
+    assert list(dataset.by_target) == ["бой"]
+    c1, c2 = dataset.instances
+    assert c1.tokens == c2.tokens == ["бой", "йод", "вода"]
+    assert idf.idf("йод") == math.log(11 / 2) + 1.0
+    assert chi2.value("бой", "йод") == 4.0 and chi2.value("бой", "вода") == 1.0
+
+    model = make_model({"йод": (1.0, 0.0), "вода": (0.0, 1.0)})
+    cfg = WeightingConfig(1.0, 1.0)
+    v1 = vectorize(c1, model, idf, chi2, cfg)
+    v2 = vectorize(c2, model, idf, chi2, cfg)
+    w = np.array([idf.idf("йод") * 4.0, idf.idf("вода") * 1.0])
+    np.testing.assert_allclose(v1.v, w / np.linalg.norm(w), atol=1e-12)
+    np.testing.assert_array_equal(v1.v, v2.v)
+    assert v1.n_contributing == v2.n_contributing == 2
