@@ -13,13 +13,14 @@ import sys
 from pathlib import Path
 
 from . import search as search_mod
-from .cluster import ClusteringConfig, cluster
+from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster
 from .dataset import parse_dataset, write_predictions
-from .embeddings import (load_embeddings, load_frequency_table,
+from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
 from .errors import DataError
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate
-from .mt_label import Stemmer, label_by_translation, read_translations
+from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
+                       read_translations)
 from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
                      parse_space_file, serialize_config)
 from .text import tokenize
@@ -80,18 +81,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="cluster contexts and write predictions")
     p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=("text", "binary"), default="text",
+    p.add_argument("--format", choices=FORMATS, default="text",
                    help="embedding file format (default: text)")
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--algo", choices=("agglomerative", "affinity_propagation"),
-                   default="agglomerative",
+    p.add_argument("--algo", choices=ALGORITHMS, default="agglomerative",
                    help="clustering algorithm (default: agglomerative)")
     p.add_argument("--k", type=int, default=2,
                    help="number of clusters, 1..14 (default: 2)")
-    p.add_argument("--linkage", choices=("ward", "average", "complete"),
-                   default="ward", help="linkage criterion (default: ward)")
-    p.add_argument("--metric", choices=("euclidean", "manhattan", "cosine"),
-                   default="euclidean",
+    p.add_argument("--linkage", choices=LINKAGES, default="ward",
+                   help="linkage criterion (default: ward)")
+    p.add_argument("--metric", choices=METRICS, default="euclidean",
                    help="point distance; ward requires euclidean (default: euclidean)")
     p.add_argument("--damping", type=float, default=0.5,
                    help="affinity propagation damping in [0.5, 1) (default: 0.5)")
@@ -120,7 +119,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid-search", help="exhaustive hyperparameter search")
     p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=("text", "binary"), default="text",
+    p.add_argument("--format", choices=FORMATS, default="text",
                    help="embedding file format (default: text)")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--idf", type=Path, required=True, help="idf cache TSV")
@@ -143,7 +142,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norm-report",
                        help="norm-vs-frequency diagnostic sample of the vocabulary")
     p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=("text", "binary"), default="text",
+    p.add_argument("--format", choices=FORMATS, default="text",
                    help="embedding file format (default: text)")
     p.add_argument("--freqs", type=Path, required=True,
                    help="word<TAB>count frequency TSV")
@@ -157,7 +156,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mt-label", help="label contexts by majority translation")
     p.add_argument("--translations", type=Path, required=True,
                    help="context_id<TAB>translation[,translation...] TSV")
-    p.add_argument("--stemmer", choices=("identity", "porter"), default="identity",
+    p.add_argument("--stemmer", choices=STEMMER_ALGORITHMS, default="identity",
                    help="translation normalizer (default: identity)")
     p.add_argument("--dataset", type=Path, default=None,
                    help="when given, write a predictions TSV for this dataset")

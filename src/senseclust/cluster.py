@@ -70,13 +70,14 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     Cosine distance is 1 - cos(x, y); a zero vector is at distance 1 from
     every other point.
     """
-    X = np.asarray(points, dtype=np.float64)
+    X = np.ascontiguousarray(points, dtype=np.float64)
     if metric == "euclidean":
-        diff = X[:, None, :] - X[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return np.sqrt(_squared_euclidean(X))
     if metric == "manhattan":
-        diff = X[:, None, :] - X[None, :, :]
-        return np.abs(diff).sum(axis=-1)
+        D = np.empty((len(X), len(X)))
+        for i, x in enumerate(X):  # row by row: no (n, n, d) temporary
+            D[i] = np.abs(X - x).sum(axis=1)
+        return D
     if metric == "cosine":
         gram = X @ X.T
         norms = np.sqrt(np.diag(gram).copy())
@@ -91,9 +92,15 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _squared_euclidean(points: np.ndarray) -> np.ndarray:
-    X = np.asarray(points, dtype=np.float64)
-    diff = X[:, None, :] - X[None, :, :]
-    return (diff * diff).sum(axis=-1)
+    """Squared euclidean distances in Gram form, clamped at 0, zero diagonal."""
+    # Squared norms are row sums, not centered: a zero vector then lies at
+    # exactly sq[j] from point j, as in the difference form, so ties stay ties.
+    X = np.ascontiguousarray(points, dtype=np.float64)
+    sq = (X * X).sum(axis=1)
+    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(D, 0.0, out=D)
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 def dendrogram(points, linkage: str, metric: str = "euclidean"
@@ -118,7 +125,6 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     n = D.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
-    D = D.copy()
     np.fill_diagonal(D, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
@@ -182,12 +188,6 @@ def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
     merges = dendrogram(X, cfg.linkage, cfg.metric)
     labels = cut_merges(merges, n, k)
     return ClusterResult(labels=labels, k=k, merge_trace=merges[: n - k])
-
-
-def _median_off_diagonal(S: np.ndarray) -> float:
-    n = S.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.median(S[mask]))
 
 
 def _ap_messages(S: np.ndarray, damping: float, max_iter: int, window: int
@@ -267,23 +267,23 @@ def affinity_propagation(points, cfg: ClusteringConfig) -> ClusterResult:
         return ClusterResult(labels=np.zeros(1, dtype=np.int64), k=1,
                              exemplars=[0], converged=True)
     S = -_squared_euclidean(X)
-    pref = cfg.preference if cfg.preference is not None else _median_off_diagonal(S)
-    S_run = S.copy()
-    np.fill_diagonal(S_run, pref)
-
-    criterion, converged = _ap_messages(S_run, cfg.damping, cfg.max_iter,
+    pref = cfg.preference
+    if pref is None:  # the median off-diagonal similarity
+        pref = float(np.median(S[~np.eye(n, dtype=bool)]))
+    np.fill_diagonal(S, pref)
+    criterion, converged = _ap_messages(S, cfg.damping, cfg.max_iter,
                                         cfg.convergence_window)
     jitter_applied = False
     if not converged:
-        upper = S_run[np.triu_indices(n, k=1)]
+        upper = S[np.triu_indices(n, k=1)]
         has_ties = np.unique(upper).size < upper.size
         if has_ties:
-            spread = float(S_run.max() - S_run.min())
-            S_run = S_run + _deterministic_jitter(n, 1e-12 * max(spread, 1.0))
-            criterion, converged = _ap_messages(S_run, cfg.damping, cfg.max_iter,
+            spread = float(S.max() - S.min())
+            S = S + _deterministic_jitter(n, 1e-12 * max(spread, 1.0))
+            criterion, converged = _ap_messages(S, cfg.damping, cfg.max_iter,
                                                 cfg.convergence_window)
             jitter_applied = True
-    labels, exemplars = _labels_from_exemplars(S_run, criterion)
+    labels, exemplars = _labels_from_exemplars(S, criterion)
     return ClusterResult(labels=labels, k=len(exemplars), exemplars=exemplars,
                          converged=converged, jitter_applied=jitter_applied)
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DataError
 from .text import normalize_token
 
+FORMATS = ("text", "binary")
+
 
 @dataclass
 class EmbeddingModel:
@@ -87,8 +89,15 @@ def load_frequency_table(path: str | Path) -> FrequencyTable:
                 raise DataError(f"{path}: line {lineno}: bad count {raw!r}") from None
             if c < 0:
                 raise DataError(f"{path}: line {lineno}: negative count")
+            if not word:
+                raise DataError(f"{path}: line {lineno}: empty word")
             counts[normalize_token(word)] = c
     return FrequencyTable(counts)
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown embedding format {fmt!r} (expected one of {FORMATS})")
 
 
 def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
@@ -103,11 +112,8 @@ def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
     Raises DataError on a malformed header, wrong vector length, an entry
     count that disagrees with the header, or non-finite components.
     """
-    if fmt == "text":
-        return _load_text(Path(path))
-    if fmt == "binary":
-        return _load_binary(Path(path))
-    raise ValueError(f"unknown embedding format {fmt!r} (expected 'text' or 'binary')")
+    _check_format(fmt)
+    return (_load_text if fmt == "text" else _load_binary)(Path(path))
 
 
 def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
@@ -147,6 +153,8 @@ def _load_text(path: Path) -> EmbeddingModel:
                 n_rows += 1 + sum(1 for rest in fh if rest.rstrip("\n"))
                 break
             parts = line.split()
+            if not parts:
+                raise DataError(f"{path}: line {lineno}: whitespace-only line")
             word = normalize_token(parts[0])
             if len(parts) - 1 != dim:
                 raise DataError(
@@ -201,6 +209,7 @@ def _load_binary(path: Path) -> EmbeddingModel:
 
 def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text") -> None:
     """Write the model back out in word2vec text or binary format."""
+    _check_format(fmt)
     path = Path(path)
     if fmt == "text":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -211,15 +220,13 @@ def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text")
                     for v in model.vectors[row]
                 )
                 fh.write(f"{word} {comps}\n")
-    elif fmt == "binary":
+    else:
         with open(path, "wb") as fh:
             fh.write(f"{len(model)} {model.dim}\n".encode("utf-8"))
             for word, row in model.index.items():
                 fh.write(word.encode("utf-8") + b" ")
                 fh.write(model.vectors[row].astype("<f4").tobytes())
                 fh.write(b"\n")
-    else:
-        raise ValueError(f"unknown embedding format {fmt!r}")
 
 
 def norm_frequency_report(

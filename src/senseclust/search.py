@@ -275,8 +275,10 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                     ks: list[int] = []
                     for v in items:
                         if ".." in v:
-                            lo, hi = v.split("..")
-                            ks.extend(range(int(lo), int(hi) + 1))
+                            lo, hi = (int(end) for end in v.split(".."))
+                            for end in (lo, hi):  # before expanding the range
+                                ClusteringConfig(n_clusters=end)
+                            ks.extend(range(lo, hi + 1))
                         else:
                             ks.append(int(v))
                     kwargs[key] = tuple(ks)

@@ -156,6 +156,7 @@ def write_idf_tsv(table: IdfTable, path: str | Path) -> None:
 
 
 def read_idf_tsv(path: str | Path) -> IdfTable:
+    """Read one ``# n_docs=N`` header, then ``word<TAB>df`` rows."""
     n_docs = None
     df: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -166,15 +167,32 @@ def read_idf_tsv(path: str | Path) -> IdfTable:
             if line.startswith("#"):
                 key, _, val = line[1:].strip().partition("=")
                 if key.strip() == "n_docs":
-                    n_docs = int(val)
+                    if n_docs is not None:
+                        raise DataError(f"{path}: line {lineno}: repeated n_docs header")
+                    n_docs = _int_in_range(val, "n_docs", 1, math.inf, path, lineno)
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected 'word<TAB>df'")
-            df[normalize_token(parts[0])] = int(parts[1])
+            if n_docs is None:
+                raise DataError(f"{path}: line {lineno}: df row before the "
+                                "'# n_docs=...' header")
+            df[normalize_token(parts[0])] = _int_in_range(parts[1], "df", 0, n_docs,
+                                                         path, lineno)
     if n_docs is None:
         raise DataError(f"{path}: missing '# n_docs=...' header")
     return IdfTable(n_docs=n_docs, df=df)
+
+
+def _int_in_range(raw: str, name: str, lo: int, hi: float, path, lineno: int) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise DataError(f"{path}: line {lineno}: {name} {raw!r} is not an integer "
+                        f"in [{lo}, {hi}]")
+    return value
 
 
 def write_chi2_tsv(table: Chi2Table, path: str | Path) -> None:
@@ -200,6 +218,13 @@ def read_chi2_tsv(path: str | Path) -> Chi2Table:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}: line {lineno}: expected 'target<TAB>word<TAB>chi2'")
-            target, word, value = parts
-            values[(normalize_token(target), normalize_token(word))] = float(value)
+            target, word, raw = parts
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric chi2 {raw!r}") from None
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{path}: line {lineno}: chi2 must be finite and "
+                                f"nonnegative, got {raw!r}")
+            values[(normalize_token(target), normalize_token(word))] = value
     return Chi2Table(values=values, single_target=single)

@@ -242,6 +242,51 @@ def test_grid_search_cli(workspace, capsys):
         assert float(a) <= maxed[(pt, pc)] + 1e-9
 
 
+def test_grid_search_jobs_do_not_change_outputs(workspace, capsys):
+    run_cli("build-idf", "--corpus", workspace / "corpus.txt",
+            "--out", workspace / "idf.tsv")
+    (workspace / "space.cfg").write_text(
+        "power_grid = 0, 1\nk_grid = 1..4\nlinkages = ward, average, complete\n"
+        "metrics = euclidean, manhattan, cosine\ndamping_grid = 0.5, 0.9\n",
+        encoding="utf-8")
+    outputs = []
+    for jobs in ("1", "2"):
+        names = [workspace / f"{kind}-{jobs}.csv" for kind in ("ranked", "heat", "sweep")]
+        assert run_cli("grid-search", "--embeddings", workspace / "emb.txt",
+                       "--dataset", workspace / "train.tsv",
+                       "--idf", workspace / "idf.tsv",
+                       "--space", workspace / "space.cfg",
+                       "--out-ranked", names[0], "--out-heatmap", names[1],
+                       "--out-sweep", names[2], "--jobs", jobs) == 0
+        outputs.append([path.read_bytes() for path in names] + [capsys.readouterr().out])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 1 + 4 * (4 * 7) + 4 * 2
+
+
+@pytest.mark.parametrize("flag, text, lineno", [
+    ("--embeddings", None, 3),  # the workspace embeddings plus a whitespace-only line
+    ("--idf", "# n_docs=10\nfoo\t2.5\n", 2),
+    ("--idf", "# n_docs=ten\n", 1),
+    ("--idf", "# n_docs=10\n\nfoo\t11\n", 3),
+    ("--chi2", "t\tw\t1.0\nt\tv\tnan\n", 2),
+    ("--chi2", "t\tw\t-3\n", 1),
+    ("--chi2", "t\tw\tlots\n", 1),
+])
+def test_malformed_input_names_file_and_line(workspace, capsys, flag, text, lineno):
+    path = workspace / "bad.txt"
+    if text is None:
+        lines = (workspace / "emb.txt").read_text(encoding="utf-8").splitlines(True)
+        text = "".join(lines[:2] + [" \t \n"] + lines[2:])
+    path.write_text(text, encoding="utf-8")
+    files = {"--embeddings": workspace / "emb.txt", flag: path}
+    code = run_cli("cluster", "--dataset", workspace / "train.tsv",
+                   "--p-tfidf", "0", "--p-chi2", "0",
+                   *(arg for pair in files.items() for arg in pair),
+                   "--out", workspace / "x.tsv")
+    assert code == 2
+    assert f"{path}: line {lineno}: " in capsys.readouterr().err
+
+
 def test_mt_label_cli(workspace, capsys, tmp_path):
     tr = tmp_path / "tr.tsv"
     ids = [f"c{i:04d}" for i in range(40)]

@@ -46,6 +46,9 @@ def test_malformed_header(tmp_path):
 def test_wrong_vector_length(tmp_path):
     with pytest.raises(DataError, match="line 3"):
         load_embeddings(write_text(tmp_path, "2 3\na 1 0 0\nb 0 1\n"))
+    # a whitespace-only line has no word and no components
+    with pytest.raises(DataError, match="emb.txt: line 3: "):
+        load_embeddings(write_text(tmp_path, "2 3\na 1 0 0\n \t \nb 0 1 0\n"))
 
 
 def test_non_finite_rejected(tmp_path):
@@ -145,6 +148,9 @@ def test_load_frequency_table(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("word\tmany\n", encoding="utf-8")
     with pytest.raises(DataError):
+        load_frequency_table(bad)
+    bad.write_text("word\t1\n\t2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="bad.tsv: line 2: empty word"):
         load_frequency_table(bad)
 
 

@@ -225,7 +225,8 @@ def test_parse_space_file(tmp_path):
     with pytest.raises(DataError):
         parse_space_file(bad)
     for text in ("power_grid = x\n", "# k\n\nk_grid = 1..b\n",
-                 "\n\ndamping_grid = 0.5, half\n", "\n\npreference_grid = low\n"):
+                 "\n\ndamping_grid = 0.5, half\n", "\n\npreference_grid = low\n",
+                 "k_grid = 2..99999999999\n"):
         lineno = text.count("\n")
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=f"bad.cfg: line {lineno}: "):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from senseclust.dataset import Dataset, ContextInstance
+from senseclust.errors import DataError
 from senseclust.weighting import (Chi2Table, IdfTable, WeightingConfig,
                                   build_chi2, build_idf, chi2_statistic,
                                   combine, read_chi2_tsv, read_idf_tsv,
@@ -211,6 +212,16 @@ def test_idf_tsv_round_trip(tmp_path):
     write_idf_tsv(table, path)
     back = read_idf_tsv(path)
     assert back.n_docs == 42 and back.df == table.df
+    for text, lineno in (("# n_docs=4\na\t1.5\n", 2),
+                         ("# n_docs=many\na\t1\n", 1),
+                         ("# n_docs=4\na\t5\n", 2),
+                         ("# n_docs=4\n\na\t-1\n", 3),
+                         ("# n_docs=0\n", 1),
+                         ("a\t1\n# n_docs=4\n", 1),
+                         ("# n_docs=4\n# n_docs=2\n", 2)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"idf.tsv: line {lineno}: "):
+            read_idf_tsv(path)
 
 
 def test_chi2_tsv_round_trip(tmp_path):
@@ -220,3 +231,7 @@ def test_chi2_tsv_round_trip(tmp_path):
     back = read_chi2_tsv(path)
     assert back.values == table.values
     assert not back.single_target
+    for value in ("high", "-0.5", "nan", "inf", "-inf"):
+        path.write_text(f"t\tw\t1.0\nt\tv\t{value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="chi2.tsv: line 2: "):
+            read_chi2_tsv(path)
