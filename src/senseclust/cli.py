@@ -17,7 +17,7 @@ from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster
 from .dataset import parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
-from .errors import DataError
+from .errors import DataError, read_lines
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate
 from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
                        read_translations)
@@ -196,15 +196,9 @@ def _clustering_config(args) -> ClusteringConfig:
 
 
 def cmd_build_idf(args) -> int:
-    def docs():
-        for path in args.corpus:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        yield tokenize(line)
-
-    write_idf_tsv(build_idf(docs()), args.out)
+    docs = (tokenize(line) for path in args.corpus
+            for _, line in read_lines(path) if not line.isspace())
+    write_idf_tsv(build_idf(docs), args.out)
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DataError
+from .errors import DataError, line_message, read_lines
 from .text import matches_target_form, normalize_token, strip_punct, tokenize
 
 REQUIRED_COLUMNS = ("context_id", "word", "gold_sense_id", "predict_sense_id",
@@ -46,21 +46,16 @@ class Dataset:
         return len(self.instances)
 
 
-def _parse_positions(raw: str, context: str, lineno: int, path) -> list[tuple[int, int]]:
+def _parse_positions(raw: str, context: str) -> list[tuple[int, int]]:
     spans = []
     for piece in raw.split(","):
-        piece = piece.strip()
-        head, sep, tail = piece.partition("-")
-        if not sep:
-            raise DataError(f"{path}: row {lineno}: malformed positions {raw!r}")
+        head, _, tail = piece.strip().partition("-")
         try:
             start, end = int(head), int(tail)
         except ValueError:
-            raise DataError(f"{path}: row {lineno}: malformed positions {raw!r}") from None
+            raise ValueError(f"malformed positions {raw!r}") from None
         if start < 0 or end > len(context) or start >= end:
-            raise DataError(
-                f"{path}: row {lineno}: span {start}-{end} outside context bounds"
-            )
+            raise ValueError(f"span {start}-{end} outside context bounds")
         spans.append((start, end))
     return spans
 
@@ -68,64 +63,58 @@ def _parse_positions(raw: str, context: str, lineno: int, path) -> list[tuple[in
 def parse_dataset(path: str | Path, report_to=None) -> Dataset:
     """Parse a dataset TSV; rows with suspicious spans are kept but flagged.
 
-    Flag messages go to ``report_to`` (default: standard error) and are also
-    collected on the returned Dataset.
+    The first non-empty line is the header. Flag messages go to
+    ``report_to`` (default: standard error) and are also collected on the
+    returned Dataset.
     """
     path = Path(path)
     stream = sys.stderr if report_to is None else report_to
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    col = {name: i for i, name in enumerate(header)}
-    for name in REQUIRED_COLUMNS:
-        if name not in col:
-            raise DataError(f"{path}: missing column {name!r}")
-
     instances: list[ContextInstance] = []
     by_target: dict[str, list[int]] = {}
     raw_rows: list[list[str]] = []
     flags: list[str] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        row = line.split("\t")
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno}: {len(row)} fields, expected {len(header)}"
+    with read_lines(path) as lines:
+        rows = iter(lines)
+        _, first = next(rows, (0, None))
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header = first.split("\t")
+        col = {name: i for i, name in enumerate(header)}
+        for name in REQUIRED_COLUMNS:
+            if name not in col:
+                raise ValueError(f"missing column {name!r}")
+        for lineno, line in rows:
+            row = line.split("\t")
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            context_id = row[col["context_id"]]
+            if context_id in seen_ids:
+                raise ValueError(f"duplicate context_id {context_id!r}")
+            seen_ids.add(context_id)
+            target = normalize_token(row[col["word"]])
+            if not target:
+                raise ValueError("empty word")
+            context = row[col["context"]]
+            spans = _parse_positions(row[col["positions"]], context)
+            gold = row[col["gold_sense_id"]] or None
+            for start, end in spans:
+                snippet = normalize_token(strip_punct(context[start:end]))
+                if not matches_target_form(snippet, target):
+                    flags.append(line_message(
+                        path, lineno, f"span {start}-{end} text {snippet!r} "
+                        f"does not look like a form of target {target!r}"))
+            inst = ContextInstance(
+                context_id=context_id,
+                target=target,
+                gold_sense=gold,
+                target_spans=spans,
+                raw_context=context,
+                tokens=tokenize(context),
             )
-        context_id = row[col["context_id"]]
-        if context_id in seen_ids:
-            raise DataError(f"{path}: row {lineno}: duplicate context_id {context_id!r}")
-        seen_ids.add(context_id)
-        target = normalize_token(row[col["word"]])
-        if not target:
-            raise DataError(f"{path}: row {lineno}: empty word")
-        context = row[col["context"]]
-        spans = _parse_positions(row[col["positions"]], context, lineno, path)
-        gold = row[col["gold_sense_id"]] or None
-        for start, end in spans:
-            snippet = normalize_token(strip_punct(context[start:end]))
-            if not matches_target_form(snippet, target):
-                flags.append(
-                    f"{path}: row {lineno}: span {start}-{end} text {snippet!r} "
-                    f"does not look like a form of target {target!r}"
-                )
-        inst = ContextInstance(
-            context_id=context_id,
-            target=target,
-            gold_sense=gold,
-            target_spans=spans,
-            raw_context=context,
-            tokens=tokenize(context),
-        )
-        by_target.setdefault(target, []).append(len(instances))
-        instances.append(inst)
-        raw_rows.append(row)
+            by_target.setdefault(target, []).append(len(instances))
+            instances.append(inst)
+            raw_rows.append(row)
     for msg in flags:
         print(msg, file=stream)
     return Dataset(instances=instances, by_target=by_target, header=header,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_lines, split_fields
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
@@ -62,10 +62,15 @@ class FrequencyTable:
 
     def __post_init__(self):
         for word, c in self.counts.items():
-            if not word:
-                raise ValueError("frequency table contains an empty word")
-            if c < 0:
-                raise ValueError(f"negative count for {word!r}: {c}")
+            self.check(word, c)
+
+    @staticmethod
+    def check(word: str, count: int) -> None:
+        """Raise ValueError unless ``word`` is non-empty and ``count`` at least 0."""
+        if not word:
+            raise ValueError("empty word")
+        if count < 0:
+            raise ValueError(f"negative count for {word!r}: {count}")
 
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
@@ -73,26 +78,14 @@ class FrequencyTable:
 
 def load_frequency_table(path: str | Path) -> FrequencyTable:
     """Read a two-column TSV ``word<TAB>count``; keys are normalized."""
-    counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'word<TAB>count'")
-            word, raw = parts
-            try:
-                c = int(raw)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad count {raw!r}") from None
-            if c < 0:
-                raise DataError(f"{path}: line {lineno}: negative count")
-            if not word:
-                raise DataError(f"{path}: line {lineno}: empty word")
-            counts[normalize_token(word)] = c
-    return FrequencyTable(counts)
+    table = FrequencyTable()
+    with read_lines(path) as lines:
+        for _, line in lines:
+            word, raw = split_fields(line, "word", "count")
+            word, c = normalize_token(word), int(raw)
+            table.check(word, c)
+            table.counts[word] = c
+    return table
 
 
 def _check_format(fmt: str) -> None:
@@ -124,13 +117,11 @@ def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
     ``component_bytes`` per component, so a header that declares more
     entries than the file can hold is rejected before allocating.
     """
-    parts = line.split()
-    if len(parts) != 2:
-        raise DataError(f"{path}: malformed header {line!r} (expected '<count> <dim>')")
     try:
-        n_words, dim = int(parts[0]), int(parts[1])
+        n_words, dim = (int(part) for part in line.split())
     except ValueError:
-        raise DataError(f"{path}: non-integer header {line!r}") from None
+        raise DataError(f"{path}: malformed header {line!r} "
+                        "(expected '<count> <dim>')") from None
     if n_words <= 0 or dim <= 0:
         raise DataError(f"{path}: header counts must be positive, got {line!r}")
     if n_words * (2 + component_bytes * dim) > file_bytes:
@@ -140,33 +131,27 @@ def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
 
 
 def _load_text(path: Path) -> EmbeddingModel:
-    with open(path, encoding="utf-8") as fh:
-        vectors = _allocate(fh.readline().rstrip("\n"), path, path.stat().st_size, 2)
+    with read_lines(path) as lines:
+        rows = iter(lines)
+        _, header = next(rows, (0, ""))
+        vectors = _allocate(header, path, path.stat().st_size, 2)
         n_words, dim = vectors.shape
         index: dict[str, int] = {}
         n_rows = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        for _, line in rows:
             if n_rows == n_words:
-                n_rows += 1 + sum(1 for rest in fh if rest.rstrip("\n"))
+                n_rows += 1 + sum(1 for _ in rows)
                 break
             parts = line.split()
             if not parts:
-                raise DataError(f"{path}: line {lineno}: whitespace-only line")
+                raise ValueError("whitespace-only line")
             word = normalize_token(parts[0])
             if len(parts) - 1 != dim:
-                raise DataError(
-                    f"{path}: line {lineno}: vector has {len(parts) - 1} components, "
-                    f"expected {dim}"
-                )
-            try:
-                vectors[n_rows] = parts[1:]
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-numeric component") from None
+                raise ValueError(f"vector has {len(parts) - 1} components, "
+                                 f"expected {dim}")
+            vectors[n_rows] = parts[1:]
             if not np.isfinite(vectors[n_rows]).all():
-                raise DataError(f"{path}: line {lineno}: non-finite component for {word!r}")
+                raise ValueError(f"non-finite component for {word!r}")
             index[word] = n_rows
             n_rows += 1
     if n_rows != n_words:

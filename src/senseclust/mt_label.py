@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError
+from .errors import read_lines, split_fields
 from .evaluate import Labeling
 from .porter import porter_stem
 
@@ -23,6 +23,10 @@ STEMMER_ALGORITHMS = ("identity", "porter")
 class TranslationRecord:
     context_id: str
     translations: list[str]
+
+    def __post_init__(self):
+        if not self.translations:
+            raise ValueError(f"record {self.context_id!r} has no translations")
 
 
 @dataclass
@@ -53,8 +57,6 @@ def label_by_translation(records: Sequence[TranslationRecord],
     """
     assignments: dict[str, str] = {}
     for rec in records:
-        if not rec.translations:
-            raise ValueError(f"record {rec.context_id!r} has no translations")
         counts = Counter(normalize_translation(t, stemmer) for t in rec.translations)
         top = max(counts.values())
         assignments[rec.context_id] = min(f for f, c in counts.items() if c == top)
@@ -64,19 +66,9 @@ def label_by_translation(records: Sequence[TranslationRecord],
 def read_translations(path: str | Path) -> list[TranslationRecord]:
     """Parse the sidecar TSV; translations are comma-separated in column 2."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(
-                    f"{path}: line {lineno}: expected 'context_id<TAB>translations'"
-                )
-            translations = [t.strip() for t in parts[1].split(",") if t.strip()]
-            if not translations:
-                raise DataError(f"{path}: line {lineno}: no translations")
-            records.append(TranslationRecord(context_id=parts[0],
-                                             translations=translations))
+    with read_lines(path) as lines:
+        for _, line in lines:
+            context_id, raw = split_fields(line, "context_id", "translations")
+            records.append(TranslationRecord(
+                context_id, [t.strip() for t in raw.split(",") if t.strip()]))
     return records

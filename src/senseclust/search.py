@@ -22,7 +22,7 @@ from .cluster import (LINKAGES, ClusteringConfig, affinity_propagation, cut_merg
                       dendrogram)
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
-from .errors import DataError
+from .errors import DataError, line_message, read_lines
 from .evaluate import Labeling, evaluate
 from .vectorize import vectorize_dataset
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
@@ -198,6 +198,16 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     return SearchResult(ranked=ranked)
 
 
+def _best_ari_rows(entries, key: Callable[[SearchEntry], tuple]) -> list[tuple]:
+    """``(*key(entry), highest train ARI)`` rows, one per key, in key order."""
+    best: dict[tuple, float] = {}
+    for entry in entries:
+        k = key(entry)
+        if k not in best or entry.train_ari > best[k]:
+            best[k] = entry.train_ari
+    return [(*k, ari) for k, ari in sorted(best.items())]
+
+
 def export_power_heatmap(result: SearchResult,
                          fixed_clustering: ClusteringConfig | None = None
                          ) -> list[tuple[float, float, float]]:
@@ -206,28 +216,20 @@ def export_power_heatmap(result: SearchResult,
     By default the ARI is maximized over all other grid dimensions; passing
     ``fixed_clustering`` restricts the rows to that single clustering config.
     """
-    best: dict[tuple[float, float], float] = {}
-    for entry in result.ranked:
-        if fixed_clustering is not None and entry.clustering != fixed_clustering:
-            continue
-        key = (entry.weighting.p_tfidf, entry.weighting.p_chi2)
-        if key not in best or entry.train_ari > best[key]:
-            best[key] = entry.train_ari
-    return [(pt, pc, best[(pt, pc)]) for (pt, pc) in sorted(best)]
+    return _best_ari_rows(
+        (e for e in result.ranked
+         if fixed_clustering is None or e.clustering == fixed_clustering),
+        lambda e: (e.weighting.p_tfidf, e.weighting.p_chi2))
 
 
 def export_k_linkage_sweep(result: SearchResult) -> list[tuple[int, str, float]]:
     """(n_clusters, linkage, ari) rows maximized over the other dimensions."""
-    best: dict[tuple[int, str], float] = {}
-    for entry in result.ranked:
-        if entry.clustering.algorithm != "agglomerative":
-            continue
-        key = (entry.clustering.n_clusters, entry.clustering.linkage)
-        if key not in best or entry.train_ari > best[key]:
-            best[key] = entry.train_ari
-    if not best:
+    rows = _best_ari_rows(
+        (e for e in result.ranked if e.clustering.algorithm == "agglomerative"),
+        lambda e: (e.clustering.n_clusters, e.clustering.linkage))
+    if not rows:
         raise ValueError("no agglomerative configurations in the search result")
-    return [(k, lk, best[(k, lk)]) for (k, lk) in sorted(best)]
+    return rows
 
 
 def heatmap_csv(rows: Sequence[tuple[float, float, float]]) -> str:
@@ -258,14 +260,14 @@ def parse_space_file(path: str | Path) -> SearchSpace:
     and ``#`` comments are ignored. Unset keys keep their defaults.
     """
     kwargs: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with read_lines(path) as lines:
+        for lineno, line in lines:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise DataError(f"{path}: line {lineno}: expected 'key = value'")
+                raise ValueError("expected 'key = value'")
             key = key.strip()
             items = [v.strip() for v in value.split(",") if v.strip()]
             try:
@@ -288,10 +290,9 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                     kwargs[key] = tuple(v if v == AUTO_PREFERENCE else float(v)
                                         for v in items)
                 else:
-                    raise DataError(f"{path}: line {lineno}: unknown key {key!r}")
+                    raise DataError(line_message(path, lineno, f"unknown key {key!r}"))
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad {key} value "
-                                f"{value.strip()!r}") from None
+                raise ValueError(f"bad {key} value {value.strip()!r}") from None
     try:
         return SearchSpace(**kwargs)
     except ValueError as exc:

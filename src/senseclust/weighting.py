@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, read_lines, split_fields
 from .text import exclude_target, normalize_token
 
 if TYPE_CHECKING:
@@ -45,10 +45,14 @@ class IdfTable:
 
     def __post_init__(self):
         if self.n_docs <= 0:
-            raise ValueError("n_docs must be positive")
+            raise ValueError(f"n_docs must be positive, got {self.n_docs}")
         for word, d in self.df.items():
-            if not 0 <= d <= self.n_docs:
-                raise ValueError(f"df[{word!r}]={d} outside [0, {self.n_docs}]")
+            self.check_df(word, d)
+
+    def check_df(self, word: str, d: int) -> None:
+        """Raise ValueError unless ``0 <= d <= n_docs``."""
+        if not 0 <= d <= self.n_docs:
+            raise ValueError(f"df[{word!r}]={d} outside [0, {self.n_docs}]")
 
     def idf(self, word: str) -> float:
         """Smoothed idf; strictly positive even for unseen words."""
@@ -89,8 +93,13 @@ class Chi2Table:
 
     def __post_init__(self):
         for pair, v in self.values.items():
-            if v < 0:
-                raise ValueError(f"negative chi2 for {pair}: {v}")
+            self.check(pair, v)
+
+    @staticmethod
+    def check(pair: tuple[str, str], v: float) -> None:
+        """Raise ValueError unless ``v`` is finite and nonnegative."""
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"chi2 for {pair} must be finite and nonnegative, got {v}")
 
     def value(self, target: str, word: str) -> float:
         return self.values.get((target, word), 0.0)
@@ -157,42 +166,25 @@ def write_idf_tsv(table: IdfTable, path: str | Path) -> None:
 
 def read_idf_tsv(path: str | Path) -> IdfTable:
     """Read one ``# n_docs=N`` header, then ``word<TAB>df`` rows."""
-    n_docs = None
-    df: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    table = None
+    with read_lines(path) as lines:
+        for _, line in lines:
             if line.startswith("#"):
                 key, _, val = line[1:].strip().partition("=")
                 if key.strip() == "n_docs":
-                    if n_docs is not None:
-                        raise DataError(f"{path}: line {lineno}: repeated n_docs header")
-                    n_docs = _int_in_range(val, "n_docs", 1, math.inf, path, lineno)
+                    if table is not None:
+                        raise ValueError("repeated n_docs header")
+                    table = IdfTable(n_docs=int(val))
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'word<TAB>df'")
-            if n_docs is None:
-                raise DataError(f"{path}: line {lineno}: df row before the "
-                                "'# n_docs=...' header")
-            df[normalize_token(parts[0])] = _int_in_range(parts[1], "df", 0, n_docs,
-                                                         path, lineno)
-    if n_docs is None:
+            word, raw = split_fields(line, "word", "df")
+            if table is None:
+                raise ValueError("df row before the '# n_docs=...' header")
+            word, d = normalize_token(word), int(raw)
+            table.check_df(word, d)
+            table.df[word] = d
+    if table is None:
         raise DataError(f"{path}: missing '# n_docs=...' header")
-    return IdfTable(n_docs=n_docs, df=df)
-
-
-def _int_in_range(raw: str, name: str, lo: int, hi: float, path, lineno: int) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or not lo <= value <= hi:
-        raise DataError(f"{path}: line {lineno}: {name} {raw!r} is not an integer "
-                        f"in [{lo}, {hi}]")
-    return value
+    return table
 
 
 def write_chi2_tsv(table: Chi2Table, path: str | Path) -> None:
@@ -204,27 +196,14 @@ def write_chi2_tsv(table: Chi2Table, path: str | Path) -> None:
 
 
 def read_chi2_tsv(path: str | Path) -> Chi2Table:
-    values: dict[tuple[str, str], float] = {}
-    single = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    table = Chi2Table()
+    with read_lines(path) as lines:
+        for _, line in lines:
             if line.startswith("#"):
-                if "single_target=true" in line:
-                    single = True
+                table.single_target |= "single_target=true" in line
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 'target<TAB>word<TAB>chi2'")
-            target, word, raw = parts
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-numeric chi2 {raw!r}") from None
-            if not (math.isfinite(value) and value >= 0):
-                raise DataError(f"{path}: line {lineno}: chi2 must be finite and "
-                                f"nonnegative, got {raw!r}")
-            values[(normalize_token(target), normalize_token(word))] = value
-    return Chi2Table(values=values, single_target=single)
+            target, word, raw = split_fields(line, "target", "word", "chi2")
+            pair, value = (normalize_token(target), normalize_token(word)), float(raw)
+            table.check(pair, value)
+            table.values[pair] = value
+    return table

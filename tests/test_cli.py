@@ -263,6 +263,43 @@ def test_grid_search_jobs_do_not_change_outputs(workspace, capsys):
     assert len(outputs[0][0].splitlines()) == 1 + 4 * (4 * 7) + 4 * 2
 
 
+TEXT_INPUTS = ("--embeddings", "--dataset", "--gold", "--pred", "--idf", "--chi2",
+               "--space", "--translations", "--freqs", "--corpus")
+NOT_UTF8 = b"\xff"
+
+
+@pytest.fixture()
+def inputs(workspace):
+    """flag -> (argv of a command that reads the flag's file, a valid file for
+    it); the command's other inputs are valid and it writes ``out.txt``."""
+    ws = workspace
+    emb, train, idf, out = ws / "emb.txt", ws / "train.tsv", ws / "idf.tsv", ws / "out.txt"
+    assert run_cli("build-idf", "--corpus", ws / "corpus.txt", "--out", idf) == 0
+    assert run_cli("build-chi2", "--dataset", train, "--out", ws / "chi2.tsv") == 0
+    (ws / "space.cfg").write_text("power_grid = 1\nk_grid = 2, 3\nlinkages = ward\n"
+                                  "algorithms = agglomerative\n", encoding="utf-8")
+    ids = [line.split("\t")[0] for line in train.read_text(encoding="utf-8").splitlines()[1:]]
+    (ws / "tr.tsv").write_text("".join(f"{cid}\t{'jar' if i % 3 else 'banks, bank'}\n"
+                                       for i, cid in enumerate(ids)), encoding="utf-8")
+    cluster = ["cluster", "--embeddings", emb, "--dataset", train, "--idf", idf,
+               "--chi2", ws / "chi2.tsv", "--out", out]
+    assert run_cli(*cluster[:-1], ws / "pred.tsv") == 0
+    evaluate = ["evaluate", "--gold", train, "--pred", ws / "pred.tsv"]
+    return {
+        "--embeddings": (cluster, emb),
+        "--dataset": (cluster, train),
+        "--idf": (cluster, idf),
+        "--chi2": (cluster, ws / "chi2.tsv"),
+        "--gold": (evaluate, train),
+        "--pred": (evaluate, ws / "pred.tsv"),
+        "--space": (["grid-search", "--embeddings", emb, "--dataset", train, "--idf", idf,
+                     "--out-ranked", out], ws / "space.cfg"),
+        "--translations": (["mt-label", "--out", out], ws / "tr.tsv"),
+        "--freqs": (["norm-report", "--embeddings", emb, "--out", out], ws / "freqs.tsv"),
+        "--corpus": (["build-idf", "--out", out], ws / "corpus.txt"),
+    }
+
+
 @pytest.mark.parametrize("flag, text, lineno", [
     ("--embeddings", None, 3),  # the workspace embeddings plus a whitespace-only line
     ("--idf", "# n_docs=10\nfoo\t2.5\n", 2),
@@ -271,20 +308,49 @@ def test_grid_search_jobs_do_not_change_outputs(workspace, capsys):
     ("--chi2", "t\tw\t1.0\nt\tv\tnan\n", 2),
     ("--chi2", "t\tw\t-3\n", 1),
     ("--chi2", "t\tw\tlots\n", 1),
-])
-def test_malformed_input_names_file_and_line(workspace, capsys, flag, text, lineno):
-    path = workspace / "bad.txt"
+] + [(flag, NOT_UTF8, 3) for flag in TEXT_INPUTS])  # the valid file, a bad byte on line 3
+def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno):
+    argv, valid = inputs[flag]
+    path = valid.parent / "bad.txt"
     if text is None:
-        lines = (workspace / "emb.txt").read_text(encoding="utf-8").splitlines(True)
+        lines = valid.read_text(encoding="utf-8").splitlines(True)
         text = "".join(lines[:2] + [" \t \n"] + lines[2:])
-    path.write_text(text, encoding="utf-8")
-    files = {"--embeddings": workspace / "emb.txt", flag: path}
-    code = run_cli("cluster", "--dataset", workspace / "train.tsv",
-                   "--p-tfidf", "0", "--p-chi2", "0",
-                   *(arg for pair in files.items() for arg in pair),
-                   "--out", workspace / "x.tsv")
-    assert code == 2
-    assert f"{path}: line {lineno}: " in capsys.readouterr().err
+    if text is NOT_UTF8:
+        lines = valid.read_bytes().splitlines(True)
+        path.write_bytes(b"".join(lines[:2] + [NOT_UTF8 + lines[2]] + lines[3:]))
+    else:
+        path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv, flag, path) == 2  # the last --flag given wins
+    err = capsys.readouterr().err
+    assert f"{path}: line {lineno}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", TEXT_INPUTS)
+def test_crlf_input_reads_like_lf(inputs, capsys, flag):
+    argv, valid = inputs[flag]
+    crlf = valid.parent / "crlf.txt"
+    crlf.write_bytes(valid.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    outputs = []
+    out = valid.parent / "out.txt"
+    for path in (valid, crlf):
+        out.unlink(missing_ok=True)
+        assert run_cli(*argv, flag, path) == 0
+        outputs.append((out.read_bytes() if out.exists() else None,
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
+
+
+def test_build_idf_skips_whitespace_only_lines(workspace):
+    corpus = workspace / "corpus.txt"
+    spaced = workspace / "spaced.txt"
+    spaced.write_text(" \t \n" + corpus.read_text(encoding="utf-8").replace("\n", "\n\u00a0\n"),
+                      encoding="utf-8")
+    for path, out in ((corpus, "a.tsv"), (spaced, "b.tsv")):
+        assert run_cli("build-idf", "--corpus", path, "--out", workspace / out) == 0
+    assert (workspace / "a.tsv").read_bytes() == (workspace / "b.tsv").read_bytes()
 
 
 def test_mt_label_cli(workspace, capsys, tmp_path):

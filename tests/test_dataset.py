@@ -42,11 +42,11 @@ def test_multiple_positions(tmp_path):
 
 def test_missing_field_names_row(tmp_path):
     path = make_tsv(tmp_path, ["c1\tбанк\t1\t\t0-4"])
-    with pytest.raises(DataError, match="row 2"):
+    with pytest.raises(DataError, match="line 2"):
         parse_dataset(path)
     # an empty target would count every token as one of its forms
     path = make_tsv(tmp_path, ["c1\t\t1\t\t0-4\tбанк тут"], name="b.tsv")
-    with pytest.raises(DataError, match="row 2: empty word"):
+    with pytest.raises(DataError, match="line 2: empty word"):
         parse_dataset(path)
 
 
@@ -80,8 +80,8 @@ def test_span_mismatch_flagged_not_fatal(tmp_path, capsys):
     ds = parse_dataset(path)
     assert len(ds.instances) == 1
     assert len(ds.warnings) == 1
-    assert "row 2" in ds.warnings[0]
-    assert "row 2" in capsys.readouterr().err
+    assert "line 2" in ds.warnings[0]
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_tokenize_strips_punctuation():

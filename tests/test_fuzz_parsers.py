@@ -4,7 +4,8 @@ Inputs are random edits of a valid file with fragments that carry the
 formats' own structure (tabs, newlines, header keys, numbers, non-finite
 spellings, combining marks), plus free text. Text inputs are encoded as
 UTF-8 and written as bytes, so no newline translation happens on the way
-in; bytes that are not UTF-8 are drawn only for the binary embedding format.
+in. Every parser is also fed raw bytes: its valid file with byte splices
+(invalid UTF-8, a cp1251 word, CR and CRLF among them), and free bytes.
 """
 
 import io
@@ -121,17 +122,30 @@ def binary_embeddings() -> bytes:
     return blob
 
 
+BYTE_FRAGMENTS = [b" ", b"\n", b"\t", b"\r", b"\r\n", b"\xff", b"\xd0", b"\xed\xa0\x80",
+                  b"0 ", "банк".encode("cp1251"), struct.pack("<f", float("nan"))]
+
+
 @st.composite
 def mutated_bytes(draw, valid):
     blob = valid
     for _ in range(draw(st.integers(0, 4))):
         start = draw(st.integers(0, len(blob)))
         end = draw(st.integers(start, min(len(blob), start + 8)))
-        insert = draw(st.one_of(st.binary(max_size=6),
-                                st.sampled_from([b" ", b"\n", b"\xff", b"0 ",
-                                                 struct.pack("<f", float("nan"))])))
+        insert = draw(st.one_of(st.binary(max_size=6), st.sampled_from(BYTE_FRAGMENTS)))
         blob = blob[:start] + insert + blob[end:]
     return blob
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_text_parser_byte_fuzz(kind, data):
+    valid = VALID[kind].encode("utf-8")
+    blob = data.draw(st.one_of(mutated_bytes(valid), st.binary(max_size=40)), label="input")
+    parses_or_data_error(PARSERS[kind], blob)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

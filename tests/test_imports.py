@@ -1,6 +1,6 @@
-"""Import-structure guard: package modules import each other only at module
+"""Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
-function body."""
+function body, and only ``errors.py`` opens an input file for reading."""
 
 import ast
 import subprocess
@@ -49,3 +49,31 @@ print("\\n".join(failed))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
     assert len(MODULES) >= 11
+
+
+def _file_read(call: ast.Call) -> str | None:
+    """The called name if the call reads a file: ``open``/``x.open`` without a
+    write mode, ``x.read_text`` or ``x.read_bytes``."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return name
+    if name != "open":
+        return None
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    writes = isinstance(mode, ast.Constant) and set("wax") & set(mode.value)
+    return None if writes else name
+
+
+def test_only_the_line_reader_opens_input_files():
+    # The binary embedding format is not line-based; its loader reads the
+    # whole file with read_bytes.
+    allowed = {("errors.py", "open"), ("embeddings.py", "read_bytes")}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {name}()"
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and (name := _file_read(node))
+                      and (path.name, name) not in allowed]
+    assert offenders == []

@@ -235,3 +235,6 @@ def test_chi2_tsv_round_trip(tmp_path):
         path.write_text(f"t\tw\t1.0\nt\tv\t{value}\n", encoding="utf-8")
         with pytest.raises(DataError, match="chi2.tsv: line 2: "):
             read_chi2_tsv(path)
+    for value in (-0.5, math.nan, math.inf, -math.inf):  # the reader's rule, stated once
+        with pytest.raises(ValueError):
+            Chi2Table(values={("t", "v"): value})
