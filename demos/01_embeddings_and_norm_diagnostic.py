@@ -28,12 +28,12 @@ for i in range(1, 301):
 # one float32 (V, D) matrix plus a word -> row map
 model = sc.EmbeddingModel(np.stack(list(entries.values())),
                           {w: row for row, w in enumerate(entries)})
-workdir = Path(tempfile.mkdtemp())
-
-sc.write_embeddings(model, workdir / "vectors.txt", fmt="text")
-sc.write_embeddings(model, workdir / "vectors.bin", fmt="binary")
-text_model = sc.load_embeddings(workdir / "vectors.txt", fmt="text")
-bin_model = sc.load_embeddings(workdir / "vectors.bin", fmt="binary")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    sc.write_embeddings(model, workdir / "vectors.txt", fmt="text")
+    sc.write_embeddings(model, workdir / "vectors.bin", fmt="binary")
+    text_model = sc.load_embeddings(workdir / "vectors.txt", fmt="text")
+    bin_model = sc.load_embeddings(workdir / "vectors.bin", fmt="binary")
 
 word = "word037"
 print("text == binary for", word, ":",

@@ -15,7 +15,6 @@ import numpy as np
 import senseclust as sc
 
 rng = np.random.default_rng(0)
-workdir = Path(tempfile.mkdtemp())
 
 # --- synthetic data --------------------------------------------------------
 dim = 8
@@ -48,9 +47,11 @@ for (target, sense), words in vocabs.items():
         rows.append(f"c{cid:03d}\t{target}\t{sense}\t\t0-{len(target)}\t"
                     + " ".join(toks))
         cid += 1
-(workdir / "train.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-dataset = sc.parse_dataset(workdir / "train.tsv")
+with tempfile.TemporaryDirectory() as tmp:
+    train_path = Path(tmp) / "train.tsv"
+    train_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    dataset = sc.parse_dataset(train_path)
 print(f"dataset: {len(dataset.instances)} contexts, "
       f"{len(dataset.by_target)} target words")
 
@@ -79,8 +80,11 @@ for word, (score, n) in sorted(report.per_word.items()):
 print(f"weighted={report.aggregate_weighted:.3f} "
       f"macro={report.aggregate_macro:.3f}")
 
-sc.write_predictions(dataset, sc.Labeling(assignments), workdir / "pred.tsv")
-print("predictions written to", workdir / "pred.tsv")
+with tempfile.TemporaryDirectory() as tmp:
+    pred_path = Path(tmp) / "pred.tsv"
+    sc.write_predictions(dataset, sc.Labeling(assignments), pred_path)
+    print("\nfirst rows of the predictions file:")
+    print("\n".join(pred_path.read_text(encoding="utf-8").splitlines()[:3]))
 
 # --- grid search -----------------------------------------------------------
 space = sc.SearchSpace(power_grid=(0.0, 1.0, 2.0), k_grid=(1, 2, 3, 4),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -164,14 +165,27 @@ def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarr
 
     Clusters are numbered by ascending minimum original index.
     """
+    return cut_merges_at(merges, n, [k])[0]
+
+
+def cut_merges_at(merges: list[tuple[int, int, float]], n: int, ks: Sequence[int]
+                  ) -> list[np.ndarray]:
+    """``[cut_merges(merges, n, k) for k in ks]`` from one replay of the merges."""
+    if not all(1 <= k <= n for k in ks):
+        raise ValueError(f"cluster counts must be in 1..{n}, got {list(ks)}")
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for a, b, _ in merges[: n - k]:
-        members[a].extend(members[b])
-        del members[b]
-    labels = np.empty(n, dtype=np.int64)
-    for label, rep in enumerate(sorted(members)):
-        labels[members[rep]] = label
-    return labels
+    cuts: dict[int, np.ndarray] = {}
+    done = 0
+    for step in sorted({n - k for k in ks}):
+        for a, b, _ in merges[done:step]:
+            members[a].extend(members[b])
+            del members[b]
+        done = step
+        labels = np.empty(n, dtype=np.int64)
+        for label, rep in enumerate(sorted(members)):
+            labels[members[rep]] = label
+        cuts[n - step] = labels
+    return [cuts[k] for k in ks]
 
 
 def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,34 +23,47 @@ def _canonical_partition(labels: Sequence[Hashable]) -> list[int]:
     return [seen.setdefault(lab, len(seen)) for lab in labels]
 
 
-def ari(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
-    """Adjusted Rand Index between two labelings of the same items.
+def ari_codes(gold: np.ndarray, pred: np.ndarray) -> float:
+    """Adjusted Rand Index of two non-empty, equally long integer labelings.
 
-    Computed from the pair-counting contingency table. When the correction
-    denominator degenerates (both partitions trivial) the result is 1.0 for
-    identical partitions and 0.0 otherwise.
+    Labels are non-negative integers; they need not be contiguous. The
+    contingency table is one ``np.bincount``; the pair sums are exact
+    integers.
     """
-    if len(gold) != len(pred):
-        raise ValueError(f"length mismatch: {len(gold)} vs {len(pred)}")
     n = len(gold)
-    if n == 0:
-        raise ValueError("empty labelings")
-    identical = _canonical_partition(gold) == _canonical_partition(pred)
-    if n == 1:
-        return 1.0
-    contingency = Counter(zip(gold, pred))
-    a_sizes = Counter(gold)
-    b_sizes = Counter(pred)
-    index = sum(c * (c - 1) // 2 for c in contingency.values())
-    sum_a = sum(c * (c - 1) // 2 for c in a_sizes.values())
-    sum_b = sum(c * (c - 1) // 2 for c in b_sizes.values())
+    contingency = np.bincount(gold * (int(pred.max()) + 1) + pred)
+    index = _pair_sum(contingency)
+    sum_a = _pair_sum(np.bincount(gold))
+    sum_b = _pair_sum(np.bincount(pred))
     pairs = n * (n - 1) // 2
-    # Exact integer test for Max == Expected: (sum_a+sum_b)/2 == sum_a*sum_b/pairs
+    # Exact integer test for Max == Expected: (sum_a+sum_b)/2 == sum_a*sum_b/pairs.
+    # It holds only when both partitions are all singletons (both sums 0) or
+    # both one cluster (both sums == pairs), so the partitions are identical.
     if (sum_a + sum_b) * pairs == 2 * sum_a * sum_b:
-        return 1.0 if identical else 0.0
+        return 1.0
     expected = sum_a * sum_b / pairs
     max_index = (sum_a + sum_b) / 2
     return (index - expected) / (max_index - expected)
+
+
+def _pair_sum(counts: np.ndarray) -> int:
+    """Sum of c*(c-1)/2 over the counts, as a Python int."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def ari(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
+    """Adjusted Rand Index between two labelings of the same items.
+
+    Computed from the pair-counting contingency table. The correction
+    denominator degenerates only for identical trivial partitions (all
+    singletons, or one cluster), which score 1.0.
+    """
+    if len(gold) != len(pred):
+        raise ValueError(f"length mismatch: {len(gold)} vs {len(pred)}")
+    if len(gold) == 0:
+        raise ValueError("empty labelings")
+    return ari_codes(np.array(_canonical_partition(gold)),
+                     np.array(_canonical_partition(pred)))
 
 
 @dataclass
@@ -99,11 +111,29 @@ def evaluate(dataset: Dataset, labels: Labeling) -> EvalReport:
             per_word[target] = (ari(gold_list, pred_list), len(gold_list))
     if not per_word:
         raise ValueError("dataset has no gold senses to evaluate against")
-    total = sum(n for _, n in per_word.values())
-    weighted = sum(score * n for score, n in per_word.values()) / total
     macro = sum(score for score, _ in per_word.values()) / len(per_word)
-    return EvalReport(per_word=per_word, aggregate_weighted=weighted,
+    return EvalReport(per_word=per_word,
+                      aggregate_weighted=weighted_ari(per_word.values()),
                       aggregate_macro=macro, n_excluded=n_excluded)
+
+
+def weighted_ari(per_word: Iterable[tuple[float, int]]) -> float:
+    """Mean of per-word ``(ari, n_contexts)`` scores, weighted by context count."""
+    per_word = list(per_word)
+    return sum(score * n for score, n in per_word) / sum(n for _, n in per_word)
+
+
+def gold_codes(dataset: Dataset) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per target word with gold senses: the positions of its gold-labeled
+    contexts among the word's contexts, and those senses as integer codes."""
+    out = {}
+    for target, idxs in dataset.by_target.items():
+        senses = [dataset.instances[i].gold_sense for i in idxs]
+        keep = [j for j, sense in enumerate(senses) if sense is not None]
+        if keep:
+            out[target] = (np.array(keep),
+                           np.array(_canonical_partition([senses[j] for j in keep])))
+    return out
 
 
 def confusion_matrix(gold: Sequence[Hashable], pred: Sequence[Hashable]

@@ -1,11 +1,13 @@
 """Deterministic joint grid search over weighting powers and clustering
 hyperparameters, with heatmap and linkage-sweep exports.
 
-Context vectors are cached per power combination and agglomerative merge
-sequences are reused across the cluster-count grid, so the full default
-space stays cheap. Results are ranked by train ARI descending with ties
-broken by ascending config serialization, which makes the search output
-independent of evaluation order and of the worker count.
+Each context's power-independent terms (embedding rows, tf-idf and
+chi-square values) are built once, and only the power step runs per power
+pair. Each word's merge sequence is replayed once for the whole
+cluster-count grid, and each config is scored on integer-coded labels
+against gold senses coded once. Results are ranked by train ARI descending
+with ties broken by ascending config serialization, which makes the search
+output independent of evaluation order and of the worker count.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import (LINKAGES, ClusteringConfig, affinity_propagation, cut_merges,
+from .cluster import (LINKAGES, ClusteringConfig, affinity_propagation, cut_merges_at,
                       dendrogram)
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
 from .errors import DataError, line_message, read_lines
-from .evaluate import Labeling, evaluate
-from .vectorize import vectorize_dataset
+from .evaluate import ari_codes, gold_codes, weighted_ari
+from .vectorize import vectorize_configs
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
 
 AUTO_PREFERENCE = "auto"
@@ -147,47 +149,37 @@ def serialize_config(clustering: ClusteringConfig, weighting: WeightingConfig) -
     return " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
 
 
-def _score(dataset: Dataset, labels_by_word: dict[str, tuple[list[str], np.ndarray]]
-           ) -> float:
-    assignments: dict[str, str] = {}
-    for _, (ids, labels) in labels_by_word.items():
-        for cid, lab in zip(ids, labels):
-            assignments[cid] = str(int(lab))
-    return evaluate(dataset, Labeling(assignments)).aggregate_weighted
-
-
 def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
                 chi2: Chi2Table, space: SearchSpace, jobs: int = 1) -> SearchResult:
     """Exhaustively score every configuration in the space on train ARI."""
-    if not any(inst.gold_sense is not None for inst in dataset.instances):
+    gold = gold_codes(dataset)
+    if not gold:
         raise ValueError("grid search needs gold senses in the dataset")
+    powers = [(pt, pc) for pt in space.power_grid for pc in space.power_grid]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-vector warnings repeat 36x here
-        vectors = {
-            (pt, pc): vectorize_dataset(dataset, model, idf, chi2,
-                                        WeightingConfig(p_tfidf=pt, p_chi2=pc))
-            for pt in space.power_grid for pc in space.power_grid
-        }
+        warnings.simplefilter("ignore")  # zero-vector warnings repeat per power pair
+        vectors = dict(zip(powers, vectorize_configs(
+            dataset, model, idf, chi2,
+            [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt, pc in powers])))
+
+    def score(labels_by_word: dict[str, np.ndarray]) -> float:
+        return weighted_ari((ari_codes(codes, labels_by_word[w][keep]), len(codes))
+                            for w, (keep, codes) in gold.items())
 
     def run_task(task: tuple[WeightingConfig, ClusteringConfig]) -> list[SearchEntry]:
         wcfg, ccfg = task
         by_word = vectors[(wcfg.p_tfidf, wcfg.p_chi2)]
         if ccfg.algorithm == "affinity_propagation":
-            labeled = {w: (ids, affinity_propagation(X, ccfg).labels)
-                       for w, (ids, X) in by_word.items()}
-            return [SearchEntry(ccfg, wcfg, _score(dataset, labeled))]
-        # One merge sequence per word serves every k.
-        merges = {w: dendrogram(X, ccfg.linkage, ccfg.metric)
-                  for w, (_, X) in by_word.items()}
-        entries = []
-        for k in space.k_grid:
-            labeled = {
-                w: (ids, cut_merges(merges[w], len(ids), min(k, len(ids))))
-                for w, (ids, _) in by_word.items()
-            }
-            entries.append(SearchEntry(replace(ccfg, n_clusters=k), wcfg,
-                                       _score(dataset, labeled)))
-        return entries
+            labels = {w: affinity_propagation(X, ccfg).labels
+                      for w, (_, X) in by_word.items()}
+            return [SearchEntry(ccfg, wcfg, score(labels))]
+        # One merge sequence per word, replayed once for the whole k grid.
+        cuts = {w: cut_merges_at(dendrogram(X, ccfg.linkage, ccfg.metric), len(X),
+                                 [min(k, len(X)) for k in space.k_grid])
+                for w, (_, X) in by_word.items()}
+        return [SearchEntry(replace(ccfg, n_clusters=k), wcfg,
+                            score({w: labels[i] for w, labels in cuts.items()}))
+                for i, k in enumerate(space.k_grid)]
 
     ranked = [e for chunk in parallel_map(run_task, space.configs(), jobs) for e in chunk]
     ranked.sort(key=lambda e: (-e.train_ari,

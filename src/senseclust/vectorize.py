@@ -4,6 +4,11 @@ A context becomes a single dense vector: the target word and its inflected
 forms are dropped, each remaining token with an embedding gets a tf-idf x
 chi-square power weight, the weight vector is L2-normalized, the weighted
 sum of (unnormalized) embeddings is taken, and the result is L2-normalized.
+
+Only the power weight depends on the weighting config, so vectorizing is
+split in two: ``context_terms`` (target exclusion, embedding rows, tf-idf
+and chi-square, built once per context) and ``apply_powers`` (the power
+step, run once per config).
 """
 
 from __future__ import annotations
@@ -50,6 +55,67 @@ def weighted_unit_average(vectors: Sequence[np.ndarray], weights: Sequence[float
     return v / vnorm
 
 
+@dataclass
+class ContextTerms:
+    """The power-independent part of one context vector.
+
+    One entry per kept occurrence that has an embedding, in token order:
+    its embedding row, tf-idf and chi-square value.
+    """
+
+    context_id: str
+    rows: np.ndarray
+    tfidf: np.ndarray
+    chi2: np.ndarray
+
+
+def context_terms(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
+                  chi2: Chi2Table) -> ContextTerms:
+    """Exclude the target's forms, look tokens up, and weigh each occurrence."""
+    kept = exclude_target(instance.tokens, instance.target)
+    rows: list[int] = []
+    tfidf_w: list[float] = []
+    chi2_w: list[float] = []
+    cache: dict[str, tuple[float, float]] = {}
+    for tok in kept:
+        row = model.index.get(normalize_token(tok))
+        if row is None:
+            continue
+        if tok not in cache:
+            cache[tok] = (tfidf_weight(tok, kept, idf), chi2.value(instance.target, tok))
+        rows.append(row)
+        tfidf_w.append(cache[tok][0])
+        chi2_w.append(cache[tok][1])
+    return ContextTerms(instance.context_id, np.array(rows, dtype=np.intp),
+                        np.array(tfidf_w, dtype=np.float64),
+                        np.array(chi2_w, dtype=np.float64))
+
+
+def apply_powers(terms: ContextTerms, model: EmbeddingModel,
+                 cfg: WeightingConfig) -> ContextVector:
+    """The power step: weigh each occurrence by ``combine`` and average.
+
+    An all-OOV, all-excluded, or exactly cancelling context yields the zero
+    vector with n_contributing = 0.
+    """
+    # ``combine`` on Python floats: its ``**`` is libm's pow, which
+    # ``np.power`` does not match to the last bit on every host.
+    weights = [combine(t, c, cfg)
+               for t, c in zip(terms.tfidf.tolist(), terms.chi2.tolist())]
+    n_contributing = sum(1 for w in weights if w > 0)
+    v = weighted_unit_average(model.vectors[terms.rows], weights, model.dim)
+    if n_contributing > 0 and not v.any():
+        # Exact cancellation: treat like an empty context.
+        n_contributing = 0
+    if n_contributing == 0:
+        warnings.warn(
+            f"context {terms.context_id!r}: no contributing tokens, zero vector",
+            stacklevel=2,
+        )
+        return ContextVector(terms.context_id, np.zeros(model.dim), 0)
+    return ContextVector(terms.context_id, v, n_contributing)
+
+
 def vectorize(
     instance: ContextInstance,
     model: EmbeddingModel,
@@ -61,38 +127,27 @@ def vectorize(
 
     Tokens surviving target exclusion and present in the embedding model
     contribute once per occurrence, each occurrence carrying the token's
-    tf-idf/chi-square combined weight. An all-OOV, all-excluded, or exactly
-    cancelling context yields the zero vector with n_contributing = 0.
+    tf-idf/chi-square combined weight.
     """
-    kept = exclude_target(instance.tokens, instance.target)
-    rows: list[int] = []
-    weights: list[float] = []
-    weight_cache: dict[str, float] = {}
-    for tok in kept:
-        row = model.index.get(normalize_token(tok))
-        if row is None:
-            continue
-        if tok not in weight_cache:
-            weight_cache[tok] = combine(
-                tfidf_weight(tok, kept, idf),
-                chi2.value(instance.target, tok),
-                cfg,
-            )
-        rows.append(row)
-        weights.append(weight_cache[tok])
+    return apply_powers(context_terms(instance, model, idf, chi2), model, cfg)
 
-    n_contributing = sum(1 for w in weights if w > 0)
-    v = weighted_unit_average(model.vectors[rows], weights, model.dim)
-    if n_contributing > 0 and not v.any():
-        # Exact cancellation: treat like an empty context.
-        n_contributing = 0
-    if n_contributing == 0:
-        warnings.warn(
-            f"context {instance.context_id!r}: no contributing tokens, zero vector",
-            stacklevel=2,
-        )
-        return ContextVector(instance.context_id, np.zeros(model.dim), 0)
-    return ContextVector(instance.context_id, v, n_contributing)
+
+def vectorize_configs(dataset, model: EmbeddingModel, idf: IdfTable, chi2: Chi2Table,
+                      cfgs: Sequence[WeightingConfig]
+                      ) -> list[dict[str, tuple[list[str], np.ndarray]]]:
+    """``vectorize_dataset`` for each config, building every context's terms once.
+
+    Terms are built one target word at a time, every config's power step is
+    applied to them, and they are dropped before the next word.
+    """
+    out: list[dict] = [{} for _ in cfgs]
+    for word, idxs in dataset.by_target.items():
+        terms = [context_terms(dataset.instances[i], model, idf, chi2) for i in idxs]
+        ids = [t.context_id for t in terms]
+        for by_word, cfg in zip(out, cfgs):
+            by_word[word] = (ids, np.vstack([apply_powers(t, model, cfg).v
+                                             for t in terms]))
+    return out
 
 
 def vectorize_dataset(dataset, model: EmbeddingModel, idf: IdfTable,
@@ -102,13 +157,7 @@ def vectorize_dataset(dataset, model: EmbeddingModel, idf: IdfTable,
 
     Returns word -> (context ids, stacked vectors), rows in dataset order.
     """
-    out = {}
-    for word, idxs in dataset.by_target.items():
-        ids = [dataset.instances[i].context_id for i in idxs]
-        vecs = [vectorize(dataset.instances[i], model, idf, chi2, cfg).v
-                for i in idxs]
-        out[word] = (ids, np.vstack(vecs))
-    return out
+    return vectorize_configs(dataset, model, idf, chi2, [cfg])[0]
 
 
 def dump_vectors(rows, path) -> None:

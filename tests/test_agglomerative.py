@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from senseclust.cluster import (ClusteringConfig, agglomerative, cut_merges,
-                                dendrogram, pairwise_distances)
+                                cut_merges_at, dendrogram, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
 
@@ -149,6 +149,44 @@ def test_cut_merges_prefix_consistency():
         via_cut = cut_merges(merges, 12, k)
         direct = agglomerative(pts, cfg(k, "average")).labels
         assert list(via_cut) == list(direct)
+
+
+def _replay_cut(merges, n, k):
+    """One cut from a fresh replay, as cut_merges did before cut_merges_at."""
+    members = {i: [i] for i in range(n)}
+    for a, b, _ in merges[: n - k]:
+        members[a].extend(members[b])
+        del members[b]
+    labels = np.empty(n, dtype=np.int64)
+    for label, rep in enumerate(sorted(members)):
+        labels[members[rep]] = label
+    return labels
+
+
+def test_cut_merges_at_replays_once_for_every_k():
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        n = int(rng.integers(1, 40))
+        pts = rng.normal(size=(n, 3))
+        linkage = ("ward", "average", "complete")[trial % 3]
+        merges = dendrogram(pts, linkage, "euclidean")
+        ks = [int(k) for k in rng.integers(1, n + 1, size=int(rng.integers(1, 20)))]
+        cuts = cut_merges_at(merges, n, ks)
+        assert len(cuts) == len(ks)
+        for k, labels in zip(ks, cuts):
+            expected = _replay_cut(merges, n, k)
+            assert labels.dtype == expected.dtype
+            assert np.array_equal(labels, expected), (trial, k)
+            assert np.array_equal(cut_merges(merges, n, k), expected)
+
+
+def test_cut_merges_rejects_k_outside_one_to_n():
+    merges = dendrogram(np.arange(8.0).reshape(4, 2), "average", "euclidean")
+    for ks in ([0], [5], [2, 5]):
+        with pytest.raises(ValueError, match="1..4"):
+            cut_merges_at(merges, 4, ks)
+    with pytest.raises(ValueError):
+        cut_merges(merges, 4, 0)
 
 
 def test_cosine_zero_vector_distance():

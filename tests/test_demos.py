@@ -17,8 +17,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    # Demos write into tempfile.mkdtemp(); TMPDIR keeps that inside tmp_path.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # Demos write into temporary directories; TMPDIR keeps them inside
+    # tmp_path, and a demo must remove them before it exits.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from senseclust.dataset import ContextInstance, Dataset
-from senseclust.evaluate import (Labeling, ari, confusion_csv, confusion_matrix,
-                                 evaluate)
+from senseclust.evaluate import (Labeling, ari, ari_codes, confusion_csv,
+                                 confusion_matrix, evaluate)
 
 from oracles import pair_counting_ari
 
@@ -84,6 +86,64 @@ def test_matches_pair_counting_oracle():
         g = list(rng.integers(0, 4, size=n))
         p = list(rng.integers(0, 4, size=n))
         assert ari(g, p) == pytest.approx(pair_counting_ari(g, p), abs=1e-12)
+
+
+def counter_ari(gold, pred):
+    """``ari`` as computed before the integer kernel: Counter contingency
+    tables and the identical-partition rule for the degenerate case."""
+    n = len(gold)
+    canon = [{}, {}]
+    identical = ([canon[0].setdefault(g, len(canon[0])) for g in gold]
+                 == [canon[1].setdefault(p, len(canon[1])) for p in pred])
+    if n == 1:
+        return 1.0
+    index = sum(c * (c - 1) // 2 for c in Counter(zip(gold, pred)).values())
+    sum_a = sum(c * (c - 1) // 2 for c in Counter(gold).values())
+    sum_b = sum(c * (c - 1) // 2 for c in Counter(pred).values())
+    pairs = n * (n - 1) // 2
+    if (sum_a + sum_b) * pairs == 2 * sum_a * sum_b:
+        return 1.0 if identical else 0.0
+    expected = sum_a * sum_b / pairs
+    max_index = (sum_a + sum_b) / 2
+    return (index - expected) / (max_index - expected)
+
+
+LABELS = st.sampled_from([0, 1, 3, 17, 250, -4, "a", "b", "sense 2", "ж"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.lists(LABELS, min_size=n, max_size=n),
+                        st.lists(LABELS, min_size=n, max_size=n))))
+def test_integer_kernel_matches_counter_formula_and_oracle(pair):
+    gold, pred = pair
+    score = ari(gold, pred)
+    assert score == counter_ari(gold, pred)
+    assert abs(score - pair_counting_ari(gold, pred)) <= 1e-12
+
+
+def test_integer_kernel_on_random_int_and_string_labelings():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 120))
+        g = rng.choice([2, 9, 40, 1000], size=n)  # non-contiguous codes
+        p = rng.integers(0, int(rng.integers(1, 15)), size=n)
+        for gold, pred in ((list(g), list(p)), ([f"s{x}" for x in g], list(p))):
+            assert ari(gold, pred) == counter_ari(gold, pred)
+            assert abs(ari(gold, pred) - pair_counting_ari(gold, pred)) <= 1e-12
+        # The kernel takes non-contiguous non-negative codes as they are.
+        assert ari_codes(g, p) == ari(list(g), list(p))
+
+
+def test_integer_kernel_degenerate_cases():
+    cases = [([1], [5]), (["a", "a"], [3, 3]), ([1, 2], ["x", "y"]),
+             ([1, 2], [1, 1]), ([7, 7, 7], [0, 1, 2]), ([0, 1, 2, 3], [9, 8, 7, 6]),
+             (["a"] * 5, ["b"] * 5), ([0, 0, 1, 1], [0, 1, 0, 1])]
+    for gold, pred in cases:
+        assert ari(gold, pred) == counter_ari(gold, pred), (gold, pred)
+        assert abs(ari(gold, pred) - pair_counting_ari(gold, pred)) <= 1e-12
+    assert ari_codes(np.array([4, 4, 4]), np.array([0, 0, 0])) == 1.0
+    assert ari_codes(np.array([0, 3, 6]), np.array([5, 1, 2])) == 1.0
 
 
 # --- evaluate --------------------------------------------------------------

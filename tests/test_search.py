@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from senseclust.cluster import ClusteringConfig, agglomerative
+from senseclust.cluster import ClusteringConfig, agglomerative, cluster
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.errors import DataError
 from senseclust.evaluate import Labeling, evaluate
@@ -73,6 +73,24 @@ def test_single_config_matches_direct_evaluate(small_problem):
         assignments.update({cid: str(int(l)) for cid, l in zip(ids, labels)})
     direct = evaluate(dataset, Labeling(assignments)).aggregate_weighted
     assert result.ranked[0].train_ari == pytest.approx(direct, abs=1e-12)
+
+    # Every config of a small mixed space scores exactly what vectorizing,
+    # clustering and evaluate() give for it directly.
+    with pytest.warns(UserWarning, match="ward"):
+        space = SearchSpace(power_grid=(0.0, 1.5), k_grid=(1, 3, 2),
+                            linkages=("ward", "average"),
+                            metrics=("euclidean", "cosine"),
+                            preference_grid=("auto", -5.0))
+    result = grid_search(dataset, model, idf, chi2, space)
+    assert len(result.ranked) == space.size() == 4 * 3 * 3 + 4 * 2
+    for entry in result.ranked:
+        assignments = {}
+        by_word = vectorize_dataset(dataset, model, idf, chi2, entry.weighting)
+        for ids, X in by_word.values():
+            labels = cluster(X, entry.clustering).labels
+            assignments.update({cid: str(int(l)) for cid, l in zip(ids, labels)})
+        direct = evaluate(dataset, Labeling(assignments)).aggregate_weighted
+        assert entry.train_ari == direct, entry
 
 
 def _unique_token_dataset():

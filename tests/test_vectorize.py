@@ -1,14 +1,21 @@
+import importlib
 import math
 import unicodedata
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from senseclust.dataset import ContextInstance, parse_dataset
-from senseclust.text import exclude_target, matches_target_form
-from senseclust.vectorize import vectorize, weighted_unit_average
-from senseclust.weighting import (Chi2Table, IdfTable, WeightingConfig,
-                                  read_chi2_tsv, read_idf_tsv)
+from senseclust.dataset import ContextInstance, Dataset, parse_dataset
+from senseclust.search import SearchSpace, grid_search
+from senseclust.text import exclude_target, matches_target_form, normalize_token
+from senseclust.vectorize import vectorize, vectorize_dataset, weighted_unit_average
+from senseclust.weighting import (POWER_GRID, Chi2Table, IdfTable, WeightingConfig,
+                                  build_chi2, combine, read_chi2_tsv, read_idf_tsv,
+                                  tfidf_weight)
 
 import synthetic
 
@@ -218,3 +225,113 @@ def test_nfd_token_gets_nfc_entries(tmp_path):
     np.testing.assert_allclose(v1.v, w / np.linalg.norm(w), atol=1e-12)
     np.testing.assert_array_equal(v1.v, v2.v)
     assert v1.n_contributing == v2.n_contributing == 2
+
+
+# --- terms built once, then the power step ----------------------------------
+
+def reference_vector(instance, model, idf, chi2, cfg):
+    """The per-context vectorizer as it was before the terms/power split:
+    one ``combine`` per distinct token, weights per occurrence."""
+    kept = exclude_target(instance.tokens, instance.target)
+    rows, weights, weight_cache = [], [], {}
+    for tok in kept:
+        row = model.index.get(normalize_token(tok))
+        if row is None:
+            continue
+        if tok not in weight_cache:
+            weight_cache[tok] = combine(tfidf_weight(tok, kept, idf),
+                                        chi2.value(instance.target, tok), cfg)
+        rows.append(row)
+        weights.append(weight_cache[tok])
+    n_contributing = sum(1 for w in weights if w > 0)
+    v = weighted_unit_average(model.vectors[rows], weights, model.dim)
+    if n_contributing == 0 or not v.any():
+        return np.zeros(model.dim), 0
+    return v, n_contributing
+
+
+VOCAB = ("w0", "w1", "w2", "w3", "w4", "w5")
+TARGETS = ("банка", "замок")
+# Contexts every drawn dataset also holds: all-OOV, all-excluded (target
+# forms only), repeats plus OOV, and a token whose chi2 is 0.
+FIXED_CONTEXTS = (["oov0", "oov1"], ["банка", "банки", "банках"],
+                  ["w0", "w0", "w1", "oov0", "w0"], ["w5", "w1"], [])
+
+
+@st.composite
+def vectorize_problems(draw):
+    dim = draw(st.integers(1, 4))
+    component = st.sampled_from([-2.5, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0])
+    vectors = draw(st.lists(st.lists(component, min_size=dim, max_size=dim),
+                            min_size=len(VOCAB), max_size=len(VOCAB)))
+    model = synthetic.model_from_entries(dict(zip(VOCAB, vectors)))
+    n_docs = draw(st.integers(1, 50))
+    idf = IdfTable(n_docs=n_docs, df={w: draw(st.integers(0, n_docs)) for w in VOCAB})
+    # w5 is never given a chi2 value, so it reads 0 for every target.
+    chi2 = Chi2Table(values={(t, w): draw(st.sampled_from([0.0, 0.5, 1.0, 2.75, 40.0]))
+                             for t in TARGETS for w in VOCAB[:-1]})
+    token = st.sampled_from(VOCAB + ("oov0", "oov1", "банка", "банки", "замка"))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(TARGETS),
+                                    st.lists(token, max_size=9)), max_size=6))
+    contexts = [("банка", list(toks)) for toks in FIXED_CONTEXTS] + drawn
+    instances, by_target = [], {}
+    for i, (target, tokens) in enumerate(contexts):
+        by_target.setdefault(target, []).append(i)
+        instances.append(ContextInstance(context_id=f"c{i}", target=target,
+                                         gold_sense=None, target_spans=[],
+                                         raw_context=" ".join(tokens), tokens=tokens))
+    return Dataset(instances=instances, by_target=by_target), model, idf, chi2
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectorize_problems())
+def test_split_vectorizer_is_bitwise_equal_to_reference(problem):
+    dataset, model, idf, chi2 = problem
+    for pt in POWER_GRID:
+        for pc in POWER_GRID:
+            cfg = WeightingConfig(p_tfidf=pt, p_chi2=pc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                by_word = vectorize_dataset(dataset, model, idf, chi2, cfg)
+                singles = [vectorize(inst, model, idf, chi2, cfg)
+                           for inst in dataset.instances]
+            assert list(by_word) == list(dataset.by_target)
+            for word, idxs in dataset.by_target.items():
+                ids, X = by_word[word]
+                assert ids == [dataset.instances[i].context_id for i in idxs]
+                for row, i in zip(X, idxs):
+                    ref, n_ref = reference_vector(dataset.instances[i], model, idf,
+                                                  chi2, cfg)
+                    assert np.array_equal(row, ref), (cfg, i)
+                    assert np.array_equal(singles[i].v, ref), (cfg, i)
+                    assert singles[i].n_contributing == n_ref, (cfg, i)
+
+
+def test_grid_search_builds_each_contexts_terms_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    entries = {f"w{i}": rng.normal(size=4) for i in range(10)}
+    model = synthetic.model_from_entries(entries)
+    instances, by_target = [], {}
+    for i in range(12):
+        target = ("замок", "банка")[i % 2]
+        tokens = [f"w{int(j)}" for j in rng.integers(0, 10, size=5)]
+        by_target.setdefault(target, []).append(i)
+        instances.append(ContextInstance(context_id=f"c{i}", target=target,
+                                         gold_sense=str(i % 3), target_spans=[],
+                                         raw_context=" ".join(tokens), tokens=tokens))
+    dataset = Dataset(instances=instances, by_target=by_target)
+    built = Counter()
+    # The package's ``vectorize`` function shadows the submodule's name.
+    vectorize_module = importlib.import_module("senseclust.vectorize")
+    context_terms = vectorize_module.context_terms
+
+    def counting(instance, *args):
+        built[instance.context_id] += 1
+        return context_terms(instance, *args)
+
+    monkeypatch.setattr(vectorize_module, "context_terms", counting)
+    space = SearchSpace()
+    result = grid_search(dataset, model, synthetic.build_background_idf(seed=3),
+                         build_chi2(dataset), space)
+    assert len(result.ranked) == space.size() == 1548
+    assert built == Counter({inst.context_id: 1 for inst in instances})
