@@ -92,26 +92,20 @@ def evaluate(dataset: Dataset, labels: Labeling) -> EvalReport:
     a gold-labeled instance missing from the labeling is an error.
     """
     per_word: dict[str, tuple[float, int]] = {}
-    n_excluded = 0
-    for target, idxs in dataset.by_target.items():
-        gold_list: list[str] = []
-        pred_list: list[str] = []
-        for i in idxs:
-            inst = dataset.instances[i]
-            if inst.gold_sense is None:
-                n_excluded += 1
-                continue
-            if inst.context_id not in labels.assignments:
-                raise ValueError(
-                    f"gold-labeled context {inst.context_id!r} has no prediction"
-                )
-            gold_list.append(inst.gold_sense)
-            pred_list.append(labels.assignments[inst.context_id])
-        if gold_list:
-            per_word[target] = (ari(gold_list, pred_list), len(gold_list))
+    for target, (keep, codes) in gold_codes(dataset).items():
+        pred = []
+        for j in keep:
+            cid = dataset.instances[dataset.by_target[target][j]].context_id
+            if cid not in labels.assignments:
+                raise ValueError(f"gold-labeled context {cid!r} has no prediction")
+            pred.append(labels.assignments[cid])
+        per_word[target] = (ari_codes(codes, np.array(_canonical_partition(pred))),
+                            len(codes))
     if not per_word:
         raise ValueError("dataset has no gold senses to evaluate against")
     macro = sum(score for score, _ in per_word.values()) / len(per_word)
+    n_excluded = sum(map(len, dataset.by_target.values())) - sum(
+        n for _, n in per_word.values())
     return EvalReport(per_word=per_word,
                       aggregate_weighted=weighted_ari(per_word.values()),
                       aggregate_macro=macro, n_excluded=n_excluded)

@@ -64,11 +64,14 @@ def label_by_translation(records: Sequence[TranslationRecord],
 
 
 def read_translations(path: str | Path) -> list[TranslationRecord]:
-    """Parse the sidecar TSV; translations are comma-separated in column 2."""
-    records = []
+    """Parse the sidecar TSV, one line per context; translations are
+    comma-separated in column 2."""
+    records: dict[str, TranslationRecord] = {}
     with read_lines(path) as lines:
         for _, line in lines:
             context_id, raw = split_fields(line, "context_id", "translations")
-            records.append(TranslationRecord(
-                context_id, [t.strip() for t in raw.split(",") if t.strip()]))
-    return records
+            if context_id in records:
+                raise ValueError(f"duplicate context_id {context_id!r}")
+            records[context_id] = TranslationRecord(
+                context_id, [t.strip() for t in raw.split(",") if t.strip()])
+    return list(records.values())

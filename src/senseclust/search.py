@@ -2,19 +2,20 @@
 hyperparameters, with heatmap and linkage-sweep exports.
 
 Each context's power-independent terms (embedding rows, tf-idf and
-chi-square values) are built once, and only the power step runs per power
-pair. Each word's merge sequence is replayed once for the whole
-cluster-count grid, and each config is scored on integer-coded labels
-against gold senses coded once. Results are ranked by train ARI descending
-with ties broken by ascending config serialization, which makes the search
-output independent of evaluation order and of the worker count.
+chi-square values) are built once. The power step raises each value once
+per distinct exponent, so each power pair pays only for one weight product
+and one weighted average. Each word's merge sequence is replayed once for
+the whole cluster-count grid, and each config is scored on integer-coded
+labels against gold senses coded once. Results are ranked by train ARI
+descending with ties broken by ascending config serialization, which makes
+the search output independent of evaluation order and of the worker count.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -88,6 +89,12 @@ class SearchSpace:
                 self.damping_grid and self.preference_grid):
             raise ValueError("affinity propagation grids must be non-empty")
         self.configs()
+        for f in fields(self):
+            grid = getattr(self, f.name)
+            keys = [parse_preference(v) if f.name == "preference_grid" else v for v in grid]
+            repeated = [v for v, key in zip(grid, keys) if keys.count(key) > 1]
+            if repeated:
+                raise ValueError(f"{f.name} repeats {repeated[0]!r}")
 
     def configs(self) -> list[tuple[WeightingConfig, ClusteringConfig]]:
         """Every (weighting, clustering) pair of the space, power pair major;

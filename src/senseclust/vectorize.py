@@ -7,13 +7,16 @@ sum of (unnormalized) embeddings is taken, and the result is L2-normalized.
 
 Only the power weight depends on the weighting config, so vectorizing is
 split in two: ``context_terms`` (target exclusion, embedding rows, tf-idf
-and chi-square, built once per context) and ``apply_powers`` (the power
-step, run once per config).
+and chi-square, built once per context) and ``power_step`` (each value
+raised once per distinct exponent, then one weight product and average per
+config). ``vectorize``, ``vectorize_dataset`` and ``vectorize_configs`` all
+take this one path.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +25,7 @@ import numpy as np
 from .dataset import ContextInstance
 from .embeddings import EmbeddingModel
 from .text import exclude_target, normalize_token
-from .weighting import Chi2Table, IdfTable, WeightingConfig, combine, tfidf_weight
+from .weighting import Chi2Table, IdfTable, WeightingConfig, power
 
 
 @dataclass
@@ -65,71 +68,60 @@ class ContextTerms:
 
     context_id: str
     rows: np.ndarray
-    tfidf: np.ndarray
-    chi2: np.ndarray
+    tfidf: list[float]
+    chi2: list[float]
 
 
 def context_terms(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
                   chi2: Chi2Table) -> ContextTerms:
     """Exclude the target's forms, look tokens up, and weigh each occurrence."""
     kept = exclude_target(instance.tokens, instance.target)
-    rows: list[int] = []
-    tfidf_w: list[float] = []
-    chi2_w: list[float] = []
-    cache: dict[str, tuple[float, float]] = {}
+    tf = Counter(kept)
+    rows, tfidf_w, chi2_w = [], [], []
     for tok in kept:
         row = model.index.get(normalize_token(tok))
-        if row is None:
-            continue
-        if tok not in cache:
-            cache[tok] = (tfidf_weight(tok, kept, idf), chi2.value(instance.target, tok))
-        rows.append(row)
-        tfidf_w.append(cache[tok][0])
-        chi2_w.append(cache[tok][1])
-    return ContextTerms(instance.context_id, np.array(rows, dtype=np.intp),
-                        np.array(tfidf_w, dtype=np.float64),
-                        np.array(chi2_w, dtype=np.float64))
+        if row is not None:
+            rows.append(row)
+            tfidf_w.append(tf[tok] * idf.idf(tok))
+            chi2_w.append(chi2.value(instance.target, tok))
+    return ContextTerms(instance.context_id, np.array(rows, dtype=np.intp), tfidf_w, chi2_w)
 
 
-def apply_powers(terms: ContextTerms, model: EmbeddingModel,
-                 cfg: WeightingConfig) -> ContextVector:
-    """The power step: weigh each occurrence by ``combine`` and average.
+def power_step(terms: ContextTerms, model: EmbeddingModel,
+               cfgs: Sequence[WeightingConfig]) -> list[ContextVector]:
+    """One context's vector under each config.
 
-    An all-OOV, all-excluded, or exactly cancelling context yields the zero
-    vector with n_contributing = 0.
+    Each tf-idf and chi-square value is raised once per distinct exponent;
+    a config's weights are then one product. An all-OOV, all-excluded, or
+    exactly cancelling context yields the zero vector with n_contributing = 0.
     """
-    # ``combine`` on Python floats: its ``**`` is libm's pow, which
-    # ``np.power`` does not match to the last bit on every host.
-    weights = [combine(t, c, cfg)
-               for t, c in zip(terms.tfidf.tolist(), terms.chi2.tolist())]
-    n_contributing = sum(1 for w in weights if w > 0)
-    v = weighted_unit_average(model.vectors[terms.rows], weights, model.dim)
-    if n_contributing > 0 and not v.any():
-        # Exact cancellation: treat like an empty context.
-        n_contributing = 0
-    if n_contributing == 0:
-        warnings.warn(
-            f"context {terms.context_id!r}: no contributing tokens, zero vector",
-            stacklevel=2,
-        )
-        return ContextVector(terms.context_id, np.zeros(model.dim), 0)
-    return ContextVector(terms.context_id, v, n_contributing)
+    tfidf = {p: np.array([power(x, p) for x in terms.tfidf])
+             for p in {cfg.p_tfidf for cfg in cfgs}}
+    chi2 = {p: np.array([power(x, p) for x in terms.chi2])
+            for p in {cfg.p_chi2 for cfg in cfgs}}
+    X = model.vectors[terms.rows].astype(np.float64)
+    out = []
+    for cfg in cfgs:
+        weights = tfidf[cfg.p_tfidf] * chi2[cfg.p_chi2]
+        v = weighted_unit_average(X, weights, model.dim)
+        # An exactly cancelling sum counts like an empty context.
+        n_contributing = int(np.count_nonzero(weights > 0)) if v.any() else 0
+        if n_contributing == 0:
+            warnings.warn(f"context {terms.context_id!r}: no contributing tokens, "
+                          "zero vector", stacklevel=2)
+        out.append(ContextVector(terms.context_id, v, n_contributing))
+    return out
 
 
-def vectorize(
-    instance: ContextInstance,
-    model: EmbeddingModel,
-    idf: IdfTable,
-    chi2: Chi2Table,
-    cfg: WeightingConfig,
-) -> ContextVector:
+def vectorize(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
+              chi2: Chi2Table, cfg: WeightingConfig) -> ContextVector:
     """Build the context vector for one instance.
 
     Tokens surviving target exclusion and present in the embedding model
     contribute once per occurrence, each occurrence carrying the token's
     tf-idf/chi-square combined weight.
     """
-    return apply_powers(context_terms(instance, model, idf, chi2), model, cfg)
+    return power_step(context_terms(instance, model, idf, chi2), model, [cfg])[0]
 
 
 def vectorize_configs(dataset, model: EmbeddingModel, idf: IdfTable, chi2: Chi2Table,
@@ -137,16 +129,19 @@ def vectorize_configs(dataset, model: EmbeddingModel, idf: IdfTable, chi2: Chi2T
                       ) -> list[dict[str, tuple[list[str], np.ndarray]]]:
     """``vectorize_dataset`` for each config, building every context's terms once.
 
-    Terms are built one target word at a time, every config's power step is
-    applied to them, and they are dropped before the next word.
+    Terms are built one context at a time and every config's power step is
+    applied to them before the next context.
     """
     out: list[dict] = [{} for _ in cfgs]
     for word, idxs in dataset.by_target.items():
-        terms = [context_terms(dataset.instances[i], model, idf, chi2) for i in idxs]
-        ids = [t.context_id for t in terms]
-        for by_word, cfg in zip(out, cfgs):
-            by_word[word] = (ids, np.vstack([apply_powers(t, model, cfg).v
-                                             for t in terms]))
+        ids = [dataset.instances[i].context_id for i in idxs]
+        mats = [np.empty((len(idxs), model.dim)) for _ in cfgs]
+        for r, i in enumerate(idxs):
+            terms = context_terms(dataset.instances[i], model, idf, chi2)
+            for X, cv in zip(mats, power_step(terms, model, cfgs)):
+                X[r] = cv.v
+        for by_word, X in zip(out, mats):
+            by_word[word] = (ids, X)
     return out
 
 
@@ -161,12 +156,8 @@ def vectorize_dataset(dataset, model: EmbeddingModel, idf: IdfTable,
 
 
 def dump_vectors(rows, path) -> None:
-    """Write TSV rows ``context_id<TAB>v1 v2 ... vd``.
-
-    ``rows`` yields (context_id, vector) pairs or ContextVector objects.
-    """
+    """Write TSV rows ``context_id<TAB>v1 v2 ... vd`` from (context_id, vector) pairs."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            cid, vec = (row.context_id, row.v) if isinstance(row, ContextVector) else row
+        for cid, vec in rows:
             comps = " ".join(repr(float(x)) for x in vec)
             fh.write(f"{cid}\t{comps}\n")

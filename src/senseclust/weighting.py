@@ -146,13 +146,16 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
     return Chi2Table(values=values, single_target=single)
 
 
+def power(x: float, p: float) -> float:
+    """x^p with x^0 = 1, by Python's ``**``: ``np.power`` can differ in the last bit."""
+    return 1.0 if p == 0 else x ** p
+
+
 def combine(tfidf_w: float, chi2_w: float, cfg: WeightingConfig) -> float:
     """tfidf_w^p_tfidf * chi2_w^p_chi2 with the x^0 = 1 convention."""
     if tfidf_w < 0 or chi2_w < 0 or not (math.isfinite(tfidf_w) and math.isfinite(chi2_w)):
         raise ValueError("weights must be finite and nonnegative")
-    t = 1.0 if cfg.p_tfidf == 0 else tfidf_w ** cfg.p_tfidf
-    c = 1.0 if cfg.p_chi2 == 0 else chi2_w ** cfg.p_chi2
-    return t * c
+    return power(tfidf_w, cfg.p_tfidf) * power(chi2_w, cfg.p_chi2)
 
 
 # --- TSV caching ----------------------------------------------------------

@@ -308,6 +308,7 @@ def inputs(workspace):
     ("--chi2", "t\tw\t1.0\nt\tv\tnan\n", 2),
     ("--chi2", "t\tw\t-3\n", 1),
     ("--chi2", "t\tw\tlots\n", 1),
+    ("--translations", "c1\tjar\nc2\tjar\n\nc1\tbank\n", 4),
 ] + [(flag, NOT_UTF8, 3) for flag in TEXT_INPUTS])  # the valid file, a bad byte on line 3
 def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno):
     argv, valid = inputs[flag]

@@ -1,6 +1,7 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
-function body, and only ``errors.py`` opens an input file for reading."""
+function body, only ``errors.py`` opens an input file for reading, and no
+module raises powers with numpy."""
 
 import ast
 import subprocess
@@ -76,4 +77,27 @@ def test_only_the_line_reader_opens_input_files():
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and (name := _file_read(node))
                       and (path.name, name) not in allowed]
+    assert offenders == []
+
+
+def _numpy_power(node: ast.AST) -> bool:
+    """``np.power``/``numpy.power``, any ``float_power``, or importing either
+    name from numpy."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "float_power" or (
+            node.attr == "power" and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+        return any(a.name in ("power", "float_power") for a in node.names)
+    return isinstance(node, ast.Name) and node.id == "float_power"
+
+
+def test_no_numpy_power():
+    # Powers go through ``weighting.power`` (Python's ``**``): on some hosts
+    # ``np.power`` differs from it in the last bit.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if _numpy_power(node)]
     assert offenders == []

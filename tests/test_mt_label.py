@@ -179,3 +179,7 @@ def test_read_translations(tmp_path):
     empty.write_text("c1\t ,\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_translations(empty)
+    repeated = tmp_path / "repeated.tsv"
+    repeated.write_text("c1\tjar\nc2\tbank\n\nc1\tbank\n", encoding="utf-8")
+    with pytest.raises(DataError, match="repeated.tsv: line 4: duplicate context_id 'c1'"):
+        read_translations(repeated)

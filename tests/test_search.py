@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ def test_space_validation():
                     algorithms=("agglomerative",))
     with pytest.raises(ValueError, match="algorithm"):
         SearchSpace(algorithms=("kmeans",))
+    # A repeated grid value would score and rank the same config twice.
+    for kwargs, message in (
+            (dict(power_grid=(1.0, 1.0), k_grid=(2, 3)), "power_grid repeats 1.0"),
+            (dict(power_grid=(0.0, -0.0)), "power_grid repeats 0.0"),
+            (dict(k_grid=(2, 2, 3)), "k_grid repeats 2"),
+            (dict(linkages=("ward", "average", "ward")), "linkages repeats 'ward'"),
+            (dict(metrics=("euclidean", "euclidean")), "metrics repeats 'euclidean'"),
+            (dict(damping_grid=(0.5, 0.9, 0.5)), "damping_grid repeats 0.5"),
+            (dict(preference_grid=("auto", "auto")), "preference_grid repeats 'auto'"),
+            (dict(preference_grid=(-5, -5.0)), "preference_grid repeats -5"),
+            (dict(algorithms=("agglomerative", "agglomerative")),
+             "algorithms repeats 'agglomerative'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SearchSpace(**kwargs)
 
 
 def test_single_config_matches_direct_evaluate(small_problem):
@@ -248,4 +264,13 @@ def test_parse_space_file(tmp_path):
         lineno = text.count("\n")
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=f"bad.cfg: line {lineno}: "):
+            parse_space_file(bad)
+    # Values are compared after parsing, so spellings of one value repeat it.
+    for text, message in (("power_grid = 0.5, 0.50\n", "power_grid repeats 0.5"),
+                          ("k_grid = 2..4, 3\n", "k_grid repeats 3"),
+                          ("preference_grid = auto, -6.8, auto\n",
+                           "preference_grid repeats 'auto'"),
+                          ("preference_grid = -5, -5.0\n", "preference_grid repeats -5.0")):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"bad.cfg: {message}")):
             parse_space_file(bad)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 import unicodedata
 import warnings
 from collections import Counter
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.search import SearchSpace, grid_search
 from senseclust.text import exclude_target, matches_target_form, normalize_token
-from senseclust.vectorize import vectorize, vectorize_dataset, weighted_unit_average
+from senseclust.vectorize import (vectorize, vectorize_configs, vectorize_dataset,
+                                  weighted_unit_average)
 from senseclust.weighting import (POWER_GRID, Chi2Table, IdfTable, WeightingConfig,
                                   build_chi2, combine, read_chi2_tsv, read_idf_tsv,
                                   tfidf_weight)
@@ -305,6 +307,22 @@ def test_split_vectorizer_is_bitwise_equal_to_reference(problem):
                     assert np.array_equal(row, ref), (cfg, i)
                     assert np.array_equal(singles[i].v, ref), (cfg, i)
                     assert singles[i].n_contributing == n_ref, (cfg, i)
+    # All pairs in one call, shuffled and with a repeat: each config's
+    # matrices equal the reference regardless of its neighbours.
+    cfgs = [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt in POWER_GRID for pc in POWER_GRID]
+    cfgs.append(WeightingConfig(p_tfidf=1.5, p_chi2=0.0))
+    random.Random(len(dataset.instances)).shuffle(cfgs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outs = vectorize_configs(dataset, model, idf, chi2, cfgs)
+    for cfg, by_word in zip(cfgs, outs):
+        assert list(by_word) == list(dataset.by_target)
+        for word, idxs in dataset.by_target.items():
+            ids, X = by_word[word]
+            assert ids == [dataset.instances[i].context_id for i in idxs]
+            ref = [reference_vector(dataset.instances[i], model, idf, chi2, cfg)[0]
+                   for i in idxs]
+            assert np.array_equal(X, np.vstack(ref)), cfg
 
 
 def test_grid_search_builds_each_contexts_terms_once(monkeypatch):
