@@ -7,12 +7,14 @@ downstream weighted averaging exploits.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_lines, split_fields
+from .errors import DataError, line_message, read_lines, split_fields
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
@@ -106,12 +108,12 @@ def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
     count that disagrees with the header, or non-finite components.
     """
     _check_format(fmt)
-    return (_load_text if fmt == "text" else _load_binary)(Path(path))
+    return _model(*(_load_text if fmt == "text" else _load_binary)(Path(path)))
 
 
-def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
-              ) -> np.ndarray:
-    """Parse the header line and preallocate its ``(n_words, dim)`` matrix.
+def _header(line: str, path: Path, file_bytes: int, component_bytes: int
+            ) -> tuple[int, int]:
+    """Parse the header line into ``(n_words, dim)``.
 
     Every entry takes at least a one-byte word, a separator and
     ``component_bytes`` per component, so a header that declares more
@@ -127,69 +129,78 @@ def _allocate(line: str, path: Path, file_bytes: int, component_bytes: int
     if n_words * (2 + component_bytes * dim) > file_bytes:
         raise DataError(f"{path}: header declares {n_words} entries of dimension "
                         f"{dim}, more than {file_bytes} bytes can hold")
-    return np.empty((n_words, dim), dtype=np.float32)
+    return n_words, dim
 
 
-def _load_text(path: Path) -> EmbeddingModel:
+def _model(vectors: np.ndarray, words: list[str], message) -> EmbeddingModel:
+    """The model of a loader's rows, checked finite: no float64 sum of finite
+    float32 values overflows. ``message(i, text)`` places an error; last row wins."""
+    bad = np.flatnonzero(~np.isfinite(vectors.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        raise DataError(message(bad[0], f"non-finite component for {words[bad[0]]!r}"))
+    return EmbeddingModel(vectors, dict(zip(words, range(len(words)))))
+
+
+def _load_text(path: Path) -> tuple:
     with read_lines(path) as lines:
         rows = iter(lines)
         _, header = next(rows, (0, ""))
-        vectors = _allocate(header, path, path.stat().st_size, 2)
-        n_words, dim = vectors.shape
-        index: dict[str, int] = {}
-        n_rows = 0
-        for _, line in rows:
-            if n_rows == n_words:
-                n_rows += 1 + sum(1 for _ in rows)
-                break
-            parts = line.split()
-            if not parts:
-                raise ValueError("whitespace-only line")
-            word = normalize_token(parts[0])
-            if len(parts) - 1 != dim:
-                raise ValueError(f"vector has {len(parts) - 1} components, "
-                                 f"expected {dim}")
-            vectors[n_rows] = parts[1:]
-            if not np.isfinite(vectors[n_rows]).all():
-                raise ValueError(f"non-finite component for {word!r}")
-            index[word] = n_rows
-            n_rows += 1
-    if n_rows != n_words:
-        raise DataError(f"{path}: header declares {n_words} entries but file has {n_rows}")
-    return EmbeddingModel(vectors, index)
+        n_words, dim = _header(header, path, path.stat().st_size, 2)
+        words, linenos = [], []
+
+        def rests():
+            for lineno, line in islice(rows, n_words):
+                parts = line.split(None, 1)
+                if not parts:
+                    raise ValueError("whitespace-only line")
+                width = dim if words and len(parts) == 2 else len(line.split()) - 1
+                if width != dim:  # loadtxt skips an empty rest; row 1 sets its width
+                    raise ValueError(f"vector has {width} components, expected {dim}")
+                words.append(normalize_token(parts[0]))
+                linenos.append(lineno)
+                yield parts[1]
+            n_rows = len(words) + sum(1 for _ in rows)
+            if n_rows != n_words:
+                raise DataError(f"{path}: header declares {n_words} entries "
+                                f"but file has {n_rows}")
+
+        try:
+            vectors = np.loadtxt(rests(), dtype=np.float32, comments=None, ndmin=2)
+        except ValueError as exc:  # loadtxt pulls lazily: read_lines adds the line
+            text = re.sub(r" at row \d+, column (\d+)\.$", r" (component \1)", str(exc))
+            changed = re.match(r"the number of columns changed from \d+ to (\d+)", text)
+            raise ValueError(f"vector has {changed[1]} components, expected {dim}"
+                             if changed else text) from None
+    return vectors, words, lambda i, text: line_message(path, linenos[i], text)
 
 
-def _load_binary(path: Path) -> EmbeddingModel:
+def _load_binary(path: Path) -> tuple:
     buf = path.read_bytes()
     nl = buf.find(b"\n")
     if nl < 0:
         raise DataError(f"{path}: missing header line")
-    vectors = _allocate(buf[:nl].decode("utf-8", errors="replace"), path, len(buf), 4)
-    n_words, dim = vectors.shape
-    pos = nl + 1
+    n_words, dim = _header(buf[:nl].decode("utf-8", errors="replace"), path, len(buf), 4)
+    vectors = np.empty((n_words, dim), dtype="<f4")
+    out, data = memoryview(vectors).cast("B"), memoryview(buf)
     vec_bytes = 4 * dim
-    index: dict[str, int] = {}
+    pos = nl + 1
+    words: list[str] = []
     for i in range(n_words):
-        while pos < len(buf) and buf[pos : pos + 1] == b"\n":
+        while buf[pos : pos + 1] == b"\n":
             pos += 1
         sp = buf.find(b" ", pos)
-        if sp < 0:
+        if sp < 0 or sp + 1 + vec_bytes > len(buf):
             raise DataError(f"{path}: header declares {n_words} entries but file has {i}")
         try:
-            word = normalize_token(buf[pos:sp].decode("utf-8"))
+            words.append(normalize_token(buf[pos:sp].decode("utf-8")))
         except UnicodeDecodeError:
             raise DataError(f"{path}: entry {i}: undecodable word bytes") from None
         pos = sp + 1
-        if pos + vec_bytes > len(buf):
-            raise DataError(f"{path}: header declares {n_words} entries but file has {i}")
-        vectors[i] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+        out[i * vec_bytes : (i + 1) * vec_bytes] = data[pos : pos + vec_bytes]
         pos += vec_bytes
-        if not np.isfinite(vectors[i]).all():
-            raise DataError(f"{path}: entry {i} ({word!r}): non-finite component")
-        index[word] = i
     if buf[pos:].strip(b"\n") != b"":
         raise DataError(f"{path}: trailing data after {n_words} declared entries")
-    return EmbeddingModel(vectors, index)
+    return vectors, words, lambda i, text: f"{path}: entry {i}: {text}"
 
 
 def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text") -> None:

@@ -31,6 +31,9 @@ from .vectorize import vectorize_configs
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
 
 AUTO_PREFERENCE = "auto"
+GRID_FIELDS = {"k_grid": "n_clusters", "linkages": "linkage", "metrics": "metric",
+               "damping_grid": "damping", "preference_grid": "preference",
+               "algorithms": "algorithm"}
 
 
 def parse_preference(value) -> float | None:
@@ -66,21 +69,13 @@ class SearchSpace:
     algorithms: tuple[str, ...] = ("agglomerative", "affinity_propagation")
 
     def __post_init__(self):
-        # Grid values are validated by building the configs they stand for.
-        # ``configs()`` covers powers, linkages and the AP grids; k and the
-        # metrics get one config each, since a metric paired only with ward
-        # never reaches ``configs()``.
+        for f in fields(self):
+            self.check_grid(f.name, getattr(self, f.name))
         if not self.power_grid or not self.algorithms:
             raise ValueError("power_grid and algorithms must be non-empty")
-        for algo in self.algorithms:
-            ClusteringConfig(algorithm=algo)
         if "agglomerative" in self.algorithms:
             if not (self.k_grid and self.linkages and self.metrics):
                 raise ValueError("agglomerative grids must be non-empty")
-            for k in self.k_grid:
-                ClusteringConfig(n_clusters=k)
-            for m in self.metrics:
-                ClusteringConfig(linkage="average", metric=m)
             skipped = [m for m in self.metrics if m != "euclidean"]
             if "ward" in self.linkages and skipped:
                 warnings.warn("ward linkage is euclidean-only; excluding ward with "
@@ -88,13 +83,19 @@ class SearchSpace:
         if "affinity_propagation" in self.algorithms and not (
                 self.damping_grid and self.preference_grid):
             raise ValueError("affinity propagation grids must be non-empty")
-        self.configs()
-        for f in fields(self):
-            grid = getattr(self, f.name)
-            keys = [parse_preference(v) if f.name == "preference_grid" else v for v in grid]
-            repeated = [v for v, key in zip(grid, keys) if keys.count(key) > 1]
-            if repeated:
-                raise ValueError(f"{f.name} repeats {repeated[0]!r}")
+
+    @staticmethod
+    def check_grid(name: str, values: Sequence) -> None:
+        """Raise ValueError unless every value makes a valid config and none repeats."""
+        keys = [parse_preference(v) if name == "preference_grid" else v for v in values]
+        for key in keys:
+            if name == "power_grid":
+                WeightingConfig(p_tfidf=key)
+            else:  # the ClusteringConfig field the grid sets; average takes any metric
+                ClusteringConfig(**{"linkage": "average", GRID_FIELDS[name]: key})
+        repeated = [v for v, key in zip(values, keys) if keys.count(key) > 1]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]!r}")
 
     def configs(self) -> list[tuple[WeightingConfig, ClusteringConfig]]:
         """Every (weighting, clustering) pair of the space, power pair major;
@@ -268,6 +269,8 @@ def parse_space_file(path: str | Path) -> SearchSpace:
             if not sep:
                 raise ValueError("expected 'key = value'")
             key = key.strip()
+            if key in kwargs:
+                raise ValueError(f"repeated key {key!r}")
             items = [v.strip() for v in value.split(",") if v.strip()]
             try:
                 if key in ("power_grid", "damping_grid"):
@@ -292,6 +295,7 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                     raise DataError(line_message(path, lineno, f"unknown key {key!r}"))
             except ValueError:
                 raise ValueError(f"bad {key} value {value.strip()!r}") from None
+            SearchSpace.check_grid(key, kwargs[key])
     try:
         return SearchSpace(**kwargs)
     except ValueError as exc:

@@ -1,12 +1,19 @@
+import re
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from senseclust.embeddings import (FrequencyTable, load_embeddings,
+from senseclust.embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
                                    load_frequency_table, norm_frequency_report,
                                    write_embeddings)
-from senseclust.errors import DataError
+from senseclust.errors import DataError, read_lines
+from senseclust.text import normalize_token
 
 import synthetic
 from oracles import spearman_rank_correlation
@@ -56,6 +63,104 @@ def test_non_finite_rejected(tmp_path):
         load_embeddings(write_text(tmp_path, "1 2\na nan 0\n"))
 
 
+@pytest.mark.parametrize("content, message", [
+    ("3 2\na 1 0\n\nb 0 1\nc 1 nan\n", "line 5: non-finite component for 'c'"),
+    ("3 2\na 1 0\nb 0 1\nC -inf 0\n", "line 4: non-finite component for 'c'"),
+    ("2 3\na 1 0\nb 0 1 0\n", "line 2: vector has 2 components, expected 3"),
+    ("3 3\na 1 0 0\nb 0 1\nc 0 0 1\n", "line 3: vector has 2 components, expected 3"),
+    ("2 3\na 1 0 0\n\nb 0 1 0 1\n", "line 4: vector has 4 components, expected 3"),
+    ("2 3\na\nbcd 0 1 0\n", "line 2: vector has 0 components, expected 3"),
+    ("2 3\na 1 0 0\nb \t\n", "line 3: vector has 0 components, expected 3"),
+    ("2 2\na 1 0\nb 1 x\n", "line 3: could not convert string 'x' to float32 (component 2)"),
+    # components are ASCII decimal numbers as numpy parses them
+    ("1 2\na 1_0 1\n", "line 2: could not convert string '1_0' to float32 (component 1)"),
+    ("1 2\na 1 \uff11\n", "line 2: could not convert string '\uff11' to float32 (component 2)"),
+])
+def test_text_errors_name_their_line(tmp_path, content, message):
+    with pytest.raises(DataError, match=re.escape(f"emb.txt: {message}") + "$"):
+        load_embeddings(write_text(tmp_path, content))
+
+
+def test_lone_cr_among_components_is_an_error(tmp_path):
+    with pytest.raises(DataError, match=re.escape("emb.txt: line 3: ")):
+        load_embeddings(write_text(tmp_path, "2 2\na 1 0\nb 1\r0\n"))
+
+
+def test_header_only_file_warns_nothing(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape(
+                "emb.txt: header declares 1 entries but file has 0")):
+            load_embeddings(write_text(tmp_path, "1 1\n\n"))
+
+
+def reference_text_load(path):
+    """The per-line text loader that the numeric pass replaced, for valid
+    files: each line's strings are assigned into its float32 row."""
+    with read_lines(path) as lines:
+        rows = iter(lines)
+        _, header = next(rows)
+        n_words, dim = (int(part) for part in header.split())
+        vectors = np.empty((n_words, dim), dtype=np.float32)
+        index = {}
+        for i, (_, line) in enumerate(rows):
+            parts = line.split()
+            vectors[i] = parts[1:]
+            index[normalize_token(parts[0])] = i
+    return vectors, index
+
+
+NUMBER_FORMS = [
+    lambda v: str(np.float32(v)),  # shortest float32 repr
+    lambda v: repr(float(v)),
+    lambda v: "%.4f" % v,
+    lambda v: "%e" % v,
+    lambda v: "%+g" % v,  # a leading '+'
+    lambda v: re.sub(r"^(-?)0\.", r"\1.", "%.3f" % v),  # '.5'
+    lambda v: "%.0f." % v,  # '5.'
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_words=st.integers(1, 12), dim=st.integers(1, 6))
+def test_text_loader_matches_per_line_reference(data, n_words, dim):
+    values = data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                min_size=n_words * dim, max_size=n_words * dim))
+    gap = st.text(" \t", min_size=1, max_size=3)
+    lines = [f"{n_words} {dim}"]
+    for i in range(n_words):
+        word = data.draw(st.text("abAБбё", min_size=1, max_size=3))
+        comps = [data.draw(st.sampled_from(NUMBER_FORMS))(v)
+                 for v in values[i * dim:(i + 1) * dim]]
+        lines.append(word + "".join(data.draw(gap) + c for c in comps)
+                     + data.draw(st.sampled_from(["", " ", "\t"])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        vectors, index = reference_text_load(path)
+        model = load_embeddings(path)
+    assert model.vectors.dtype == np.float32
+    assert np.array_equal(model.vectors, vectors)
+    assert model.vectors.tobytes() == vectors.tobytes()
+    assert model.index == index
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_words=st.integers(1, 12), dim=st.integers(1, 6))
+def test_binary_round_trip_is_bitwise(data, n_words, dim):
+    values = data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                min_size=n_words * dim, max_size=n_words * dim))
+    model = EmbeddingModel(np.array(values, dtype=np.float32).reshape(n_words, dim),
+                           {f"w{i}": i for i in range(n_words)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.bin"
+        write_embeddings(model, path, fmt="binary")
+        back = load_embeddings(path, fmt="binary")
+    assert back.vectors.tobytes() == model.vectors.tobytes()
+    assert back.index == model.index
+
+
 def test_duplicates_last_wins(tmp_path):
     model = load_embeddings(write_text(tmp_path, "3 2\na 1 0\nA 2 0\nb 0 1\n"))
     assert model.n_duplicates == 1
@@ -100,6 +205,13 @@ def test_binary_non_finite(tmp_path):
     path = tmp_path / "emb.bin"
     path.write_bytes(b"1 2\nx " + struct.pack("<2f", float("inf"), 0.0))
     with pytest.raises(DataError, match="non-finite"):
+        load_embeddings(path, fmt="binary")
+    blob = b"4 2\n" + b"".join(word + b" " + struct.pack("<2f", 1.0, value) + b"\n"
+                                for word, value in ((b"w", 0.0), (b"x", 1.0), (b"Y", -np.inf),
+                                                    (b"z", np.nan)))
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=re.escape(
+            "emb.bin: entry 2: non-finite component for 'y'") + "$"):
         load_embeddings(path, fmt="binary")
 
 

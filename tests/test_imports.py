@@ -1,7 +1,7 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
-function body, only ``errors.py`` opens an input file for reading, and no
-module raises powers with numpy."""
+function body, only ``errors.py`` opens an input file for reading (numpy's
+file readers count), and no module raises powers with numpy."""
 
 import ast
 import subprocess
@@ -52,11 +52,15 @@ print("\\n".join(failed))
     assert len(MODULES) >= 11
 
 
+# numpy functions that open and read a file when given its name.
+NUMPY_READERS = ("loadtxt", "fromfile", "genfromtxt", "memmap")
+
+
 def _file_read(call: ast.Call) -> str | None:
     """The called name if the call reads a file: ``open``/``x.open`` without a
-    write mode, ``x.read_text`` or ``x.read_bytes``."""
+    write mode, ``x.read_text``, ``x.read_bytes`` or a numpy reader."""
     name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-    if name in ("read_text", "read_bytes"):
+    if name in ("read_text", "read_bytes") + NUMPY_READERS:
         return name
     if name != "open":
         return None
@@ -68,8 +72,10 @@ def _file_read(call: ast.Call) -> str | None:
 
 def test_only_the_line_reader_opens_input_files():
     # The binary embedding format is not line-based; its loader reads the
-    # whole file with read_bytes.
-    allowed = {("errors.py", "open"), ("embeddings.py", "read_bytes")}
+    # whole file with read_bytes. The text loader feeds loadtxt from
+    # read_lines, so decoding, line ends and line numbers stay in errors.py.
+    allowed = {("errors.py", "open"), ("embeddings.py", "read_bytes"),
+               ("embeddings.py", "loadtxt")}
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

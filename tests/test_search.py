@@ -57,6 +57,11 @@ def test_space_validation():
                     algorithms=("agglomerative",))
     with pytest.raises(ValueError, match="algorithm"):
         SearchSpace(algorithms=("kmeans",))
+    # Each grid is checked on its own, also one that no searched algorithm uses.
+    with pytest.raises(ValueError, match="n_clusters"):
+        SearchSpace(k_grid=(0,), algorithms=("affinity_propagation",))
+    with pytest.raises(ValueError, match="damping"):
+        SearchSpace(damping_grid=(1.0,), algorithms=("agglomerative",))
     # A repeated grid value would score and rank the same config twice.
     for kwargs, message in (
             (dict(power_grid=(1.0, 1.0), k_grid=(2, 3)), "power_grid repeats 1.0"),
@@ -265,12 +270,23 @@ def test_parse_space_file(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=f"bad.cfg: line {lineno}: "):
             parse_space_file(bad)
-    # Values are compared after parsing, so spellings of one value repeat it.
-    for text, message in (("power_grid = 0.5, 0.50\n", "power_grid repeats 0.5"),
-                          ("k_grid = 2..4, 3\n", "k_grid repeats 3"),
+    # A grid's own rules are checked on the line that sets it. Values are
+    # compared after parsing, so spellings of one value repeat it.
+    for text, message in (("power_grid = 0.5, 0.50\n", "line 1: power_grid repeats 0.5"),
+                          ("# k\nk_grid = 2..4, 3\n", "line 2: k_grid repeats 3"),
                           ("preference_grid = auto, -6.8, auto\n",
-                           "preference_grid repeats 'auto'"),
-                          ("preference_grid = -5, -5.0\n", "preference_grid repeats -5.0")):
+                           "line 1: preference_grid repeats 'auto'"),
+                          ("preference_grid = -5, -5.0\n",
+                           "line 1: preference_grid repeats -5.0"),
+                          ("k_grid = 2\n\nlinkages = ward, wardd\n",
+                           "line 3: unknown linkage 'wardd'"),
+                          ("power_grid = 1, 3\n", "line 1: p_tfidf must be in [0, 2.5], got 3.0"),
+                          ("damping_grid = 0.5, 1\n", "line 1: damping must be in [0.5, 1)"),
+                          ("k_grid = 2\nlinkages = ward\nk_grid = 3\n",
+                           "line 3: repeated key 'k_grid'"),
+                          # rules across grids keep the file-level form
+                          ("algorithms = agglomerative\nmetrics =\n",
+                           "agglomerative grids must be non-empty")):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"bad.cfg: {message}")):
             parse_space_file(bad)
