@@ -241,6 +241,11 @@ def cmd_cluster(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold = parse_dataset(args.gold)
+    if args.confusion_dir is not None:
+        for word in gold.by_target:  # each word names a file in the directory
+            if "/" in word or "\\" in word:
+                raise DataError(f"{args.gold}: target word {word!r} contains a "
+                                "path separator and cannot name a confusion file")
     pred = parse_dataset(args.pred)
     pred_col = pred.header.index("predict_sense_id")
     id_col = pred.header.index("context_id")

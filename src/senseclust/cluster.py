@@ -75,9 +75,14 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
         return np.sqrt(_squared_euclidean(X))
     if metric == "manhattan":
-        D = np.empty((len(X), len(X)))
-        for i, x in enumerate(X):  # row by row: no (n, n, d) temporary
-            D[i] = np.abs(X - x).sum(axis=1)
+        # Upper triangle row by row in one reused buffer, each row mirrored
+        # into its column; |x - y| == |y - x| bit for bit.
+        D = np.zeros((len(X), len(X)))
+        buf = np.empty_like(X)
+        for i in range(len(X) - 1):
+            diff = np.subtract(X[i + 1:], X[i], out=buf[i + 1:])
+            np.abs(diff, out=diff).sum(axis=1, out=D[i, i + 1:])
+            D[i + 1:, i] = D[i, i + 1:]
         return D
     if metric == "cosine":
         gram = X @ X.T
@@ -127,7 +132,6 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     if n == 0:
         raise ValueError("no points to cluster")
     np.fill_diagonal(D, np.inf)
-    active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     merges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
@@ -139,22 +143,26 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
             a, b = b, a
         dist = float(D[a, b])
         merges.append((a, b, dist))
-        others = active.copy()
-        others[a] = others[b] = False
-        idx = np.flatnonzero(others)
-        if idx.size:
-            if linkage == "complete":
-                D[a, idx] = np.maximum(D[a, idx], D[b, idx])
-            elif linkage == "average":
-                sa, sb = sizes[a], sizes[b]
-                D[a, idx] = (sa * D[a, idx] + sb * D[b, idx]) / (sa + sb)
-            else:  # ward
-                sa, sb, sk = sizes[a], sizes[b], sizes[idx]
-                D[a, idx] = ((sa + sk) * D[a, idx] + (sb + sk) * D[b, idx]
-                             - sk * dist) / (sa + sb + sk)
-            D[idx, a] = D[a, idx]
+        # Lance-Williams on the whole rows: each retired slot, and a and b
+        # themselves, is inf in D[a] or D[b] and every coefficient is
+        # positive, so it stays inf without a mask.
+        Da, Db = D[a], D[b]
+        sa, sb = sizes[a], sizes[b]
+        if linkage == "complete":
+            np.maximum(Da, Db, out=Da)
+        elif linkage == "average":
+            Da *= sa
+            Db *= sb
+            Da += Db
+            Da /= sa + sb
+        else:  # ward
+            Da *= sa + sizes
+            Db *= sb + sizes
+            Da += Db
+            Da -= sizes * dist
+            Da /= sa + sb + sizes
+        D[:, a] = Da
         sizes[a] += sizes[b]
-        active[b] = False
         D[b, :] = np.inf
         D[:, b] = np.inf
     return merges
@@ -206,34 +214,45 @@ def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
 
 def _ap_messages(S: np.ndarray, damping: float, max_iter: int, window: int
                  ) -> tuple[np.ndarray, bool]:
-    """Responsibility/availability passing; returns (diag(A+R) criterion, converged)."""
+    """Responsibility/availability passing; returns (diag(A+R) criterion, converged).
+
+    A, R and one scratch matrix are allocated once. Each damped update
+    ``d*R + (1-d)*Rnew`` is done in place with the same products and the
+    same sum; IEEE + and * are commutative, so the bits are unchanged.
+    """
     n = S.shape[0]
     A = np.zeros((n, n))
     R = np.zeros((n, n))
+    tmp = np.empty((n, n))
     rows = np.arange(n)
+    diag = slice(None, None, n + 1)  # the diagonal, through .flat
     last_indicator = None
     stable = 0
     converged = False
     for _ in range(max_iter):
         # responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k'))
-        AS = A + S
-        best_idx = np.argmax(AS, axis=1)
-        best = AS[rows, best_idx]
-        AS[rows, best_idx] = -np.inf
-        second = np.max(AS, axis=1)
-        Rnew = S - best[:, None]
-        Rnew[rows, best_idx] = S[rows, best_idx] - second
-        R = damping * R + (1.0 - damping) * Rnew
+        np.add(A, S, out=tmp)
+        best_idx = np.argmax(tmp, axis=1)
+        best = tmp[rows, best_idx]
+        tmp[rows, best_idx] = -np.inf
+        second = np.max(tmp, axis=1)
+        np.subtract(S, best[:, None], out=tmp)
+        tmp[rows, best_idx] = S[rows, best_idx] - second
+        tmp *= 1.0 - damping
+        R *= damping
+        R += tmp
         # availabilities: a(i,k) = min(0, r(k,k) + sum_{i' not in {i,k}} max(0, r(i',k)))
-        Rp = np.maximum(R, 0.0)
-        Rp[rows, rows] = R[rows, rows]
-        colsum = Rp.sum(axis=0)
-        Anew = colsum[None, :] - Rp
-        diag = Anew[rows, rows].copy()
-        Anew = np.minimum(Anew, 0.0)
-        Anew[rows, rows] = diag
-        A = damping * A + (1.0 - damping) * Anew
-        indicator = (A[rows, rows] + R[rows, rows]) > 0
+        np.maximum(R, 0.0, out=tmp)
+        tmp.flat[diag] = R.flat[diag]
+        colsum = tmp.sum(axis=0)
+        np.subtract(colsum, tmp, out=tmp)
+        self_avail = tmp.flat[diag]  # .flat indexing copies
+        np.minimum(tmp, 0.0, out=tmp)
+        tmp.flat[diag] = self_avail
+        tmp *= 1.0 - damping
+        A *= damping
+        A += tmp
+        indicator = (A.flat[diag] + R.flat[diag]) > 0
         if last_indicator is not None and np.array_equal(indicator, last_indicator):
             stable += 1
         else:
@@ -242,7 +261,7 @@ def _ap_messages(S: np.ndarray, damping: float, max_iter: int, window: int
         if stable >= window:
             converged = True
             break
-    return A[rows, rows] + R[rows, rows], converged
+    return A.flat[diag] + R.flat[diag], converged
 
 
 def _labels_from_exemplars(S: np.ndarray, criterion: np.ndarray

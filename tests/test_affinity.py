@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from senseclust.cluster import ClusteringConfig, affinity_propagation
+from senseclust.cluster import (ClusteringConfig, _ap_messages,
+                                _squared_euclidean, affinity_propagation)
 
 from oracles import partitions_equal, reference_affinity_propagation
 
@@ -113,3 +116,80 @@ def test_damping_validation():
         ap_cfg(damping=1.0)
     with pytest.raises(ValueError):
         ap_cfg(preference=-30.0)
+
+
+def out_of_place_ap_messages(S, damping, max_iter, window):
+    """The message loop with a fresh array for every intermediate, as
+    ``_ap_messages`` was first written; the in-place kernel must match it
+    bit for bit."""
+    n = S.shape[0]
+    A = np.zeros((n, n))
+    R = np.zeros((n, n))
+    rows = np.arange(n)
+    last_indicator = None
+    stable = 0
+    converged = False
+    for _ in range(max_iter):
+        AS = A + S
+        best_idx = np.argmax(AS, axis=1)
+        best = AS[rows, best_idx]
+        AS[rows, best_idx] = -np.inf
+        second = np.max(AS, axis=1)
+        Rnew = S - best[:, None]
+        Rnew[rows, best_idx] = S[rows, best_idx] - second
+        R = damping * R + (1.0 - damping) * Rnew
+        Rp = np.maximum(R, 0.0)
+        Rp[rows, rows] = R[rows, rows]
+        colsum = Rp.sum(axis=0)
+        Anew = colsum[None, :] - Rp
+        diag = Anew[rows, rows].copy()
+        Anew = np.minimum(Anew, 0.0)
+        Anew[rows, rows] = diag
+        A = damping * A + (1.0 - damping) * Anew
+        indicator = (A[rows, rows] + R[rows, rows]) > 0
+        if last_indicator is not None and np.array_equal(indicator, last_indicator):
+            stable += 1
+        else:
+            stable = 1
+            last_indicator = indicator
+        if stable >= window:
+            converged = True
+            break
+    return A[rows, rows] + R[rows, rows], converged
+
+
+def similarities(kind, n=40, seed=0):
+    """Random similarities, or those of integer-grid points, which tie
+    exactly; the preference is the median off-diagonal similarity."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        S = -rng.random((n, n)) * 10.0
+    else:
+        S = -_squared_euclidean(rng.integers(0, 4, size=(n, 2)).astype(float))
+    np.fill_diagonal(S, np.median(S[~np.eye(n, dtype=bool)]))
+    return S
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize("max_iter", [1, 7, 200])
+@pytest.mark.parametrize("damping", [0.5, 0.7, 0.9])
+def test_messages_equal_out_of_place_loop_bitwise(kind, max_iter, damping):
+    for seed in range(3):
+        S = similarities(kind, seed=seed)
+        criterion, converged = _ap_messages(S, damping, max_iter, 15)
+        ref_criterion, ref_converged = out_of_place_ap_messages(
+            S, damping, max_iter, 15)
+        assert criterion.tobytes() == ref_criterion.tobytes()
+        assert converged == ref_converged
+
+
+def test_messages_peak_memory_below_four_matrices():
+    n = 300
+    S = similarities("random", n=n)
+    tracemalloc.start()
+    try:
+        _ap_messages(S, 0.5, 5, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8, peak / (n * n * 8)

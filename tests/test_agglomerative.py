@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from senseclust.cluster import (ClusteringConfig, agglomerative, cut_merges,
-                                cut_merges_at, dendrogram, pairwise_distances)
+from senseclust.cluster import (ClusteringConfig, _squared_euclidean,
+                                agglomerative, cut_merges, cut_merges_at,
+                                dendrogram, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
 
@@ -194,3 +195,65 @@ def test_cosine_zero_vector_distance():
     D = pairwise_distances(pts, "cosine")
     assert D[0, 1] == D[0, 2] == 1.0
     assert D[1, 2] == pytest.approx(0.0, abs=1e-12)
+
+
+def masked_dendrogram(points, linkage, metric):
+    """The merge loop with Lance-Williams updates gathered and scattered
+    through an active mask, as ``dendrogram`` was first written; the
+    whole-row kernel must give the same merges and distances bit for bit."""
+    if linkage == "ward":
+        D = _squared_euclidean(points)
+    else:
+        D = pairwise_distances(points, metric)
+    n = D.shape[0]
+    np.fill_diagonal(D, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    merges = []
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(D)), n)
+        if a > b:
+            a, b = b, a
+        dist = float(D[a, b])
+        merges.append((a, b, dist))
+        others = active.copy()
+        others[a] = others[b] = False
+        idx = np.flatnonzero(others)
+        if idx.size:
+            if linkage == "complete":
+                D[a, idx] = np.maximum(D[a, idx], D[b, idx])
+            elif linkage == "average":
+                sa, sb = sizes[a], sizes[b]
+                D[a, idx] = (sa * D[a, idx] + sb * D[b, idx]) / (sa + sb)
+            else:
+                sa, sb, sk = sizes[a], sizes[b], sizes[idx]
+                D[a, idx] = ((sa + sk) * D[a, idx] + (sb + sk) * D[b, idx]
+                             - sk * dist) / (sa + sb + sk)
+            D[idx, a] = D[a, idx]
+        sizes[a] += sizes[b]
+        active[b] = False
+        D[b, :] = np.inf
+        D[:, b] = np.inf
+    return merges
+
+
+def merge_fixtures(n):
+    """Integer-grid points, which tie exactly and often, and normal points
+    with every third row all-zero (all-OOV contexts)."""
+    rng = np.random.default_rng(n)
+    grid = rng.integers(0, 3, size=(n, 3)).astype(float)
+    zeros = rng.normal(size=(n, 5))
+    zeros[::3] = 0.0
+    return {"grid": grid, "zero-rows": zeros}
+
+
+def merge_bits(merges):
+    return [(a, b, dist.hex()) for a, b, dist in merges]
+
+
+@pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
+def test_merges_equal_masked_update_loop_bitwise(linkage, metric):
+    for n in range(1, 61):
+        for name, X in merge_fixtures(n).items():
+            assert merge_bits(dendrogram(X, linkage, metric)) == \
+                merge_bits(masked_dendrogram(X, linkage, metric)), (name, n)

@@ -147,6 +147,28 @@ def test_evaluate_reports_ari(workspace, capsys):
     assert (workspace / "conf" / "alphaword.csv").exists()
 
 
+@pytest.mark.parametrize("word", ["../x", "a/b", "a\\b"])
+def test_evaluate_rejects_a_word_that_is_no_confusion_file_name(tmp_path, capsys,
+                                                                word):
+    header = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
+    rows = [f"c{i}\t{word}\t{i % 2}\t{pred}\t0-{len(word)}\t{word} tail"
+            for i, pred in enumerate("0011")]
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+    gold.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    pred.write_text(gold.read_text(encoding="utf-8"), encoding="utf-8")
+    conf = tmp_path / "out" / "conf"
+    assert run_cli("evaluate", "--gold", gold, "--pred", pred,
+                   "--confusion-dir", conf) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(word) in captured.err and str(gold) in captured.err
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "pred.tsv"]
+    # Without --confusion-dir the word is only a label.
+    assert run_cli("evaluate", "--gold", gold, "--pred", pred) == 0
+    assert capsys.readouterr().out.startswith("word\tn\tari")
+
+
 def test_ward_cosine_is_usage_error(workspace, capsys):
     code = run_cli("cluster", "--embeddings", workspace / "emb.txt",
                    "--dataset", workspace / "train.tsv",

@@ -2,9 +2,12 @@
 
 ``_squared_euclidean`` is the one squared-euclidean kernel (euclidean
 distances, ward and affinity propagation); it works in Gram form, so its
-values may differ from the difference form in the last bits. Manhattan is
-summed row by row and must equal the difference form bit for bit.
+values may differ from the difference form in the last bits. Manhattan fills
+the upper triangle one row at a time through one reused buffer and mirrors
+each row into its column; it must equal the difference form bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,7 +66,24 @@ def test_manhattan_equals_broadcast_reference_bitwise(shape):
     X = unit_points(*shape) * 3.7
     ref = broadcast_manhattan(X)
     for Y in layouts(X).values():
-        assert np.array_equal(pairwise_distances(Y, "manhattan"), ref)
+        D = pairwise_distances(Y, "manhattan")
+        assert np.array_equal(D, ref)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+
+
+def test_manhattan_peak_memory_below_one_and_a_half_matrices():
+    # One n x n result plus a row buffer; a transposed copy of the whole
+    # matrix (say, to mirror the triangle) would push the peak past 2.
+    n = 300
+    X = unit_points(n, 20)
+    tracemalloc.start()
+    try:
+        pairwise_distances(X, "manhattan")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
