@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import search as search_mod
@@ -25,8 +26,8 @@ from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
                      parse_space_file, serialize_config)
 from .text import tokenize
 from .vectorize import dump_vectors, vectorize_dataset
-from .weighting import (IdfTable, WeightingConfig, build_chi2, build_idf,
-                        read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
+from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
+                        build_idf, read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
                         write_idf_tsv)
 
 
@@ -202,13 +203,19 @@ def cmd_build_idf(args) -> int:
     return 0
 
 
-def cmd_build_chi2(args) -> int:
-    dataset = parse_dataset(args.dataset)
-    table = build_chi2(dataset)
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _chi2_table(path: Path | None, dataset) -> Chi2Table:
+    table = read_chi2_tsv(path) if path is not None else build_chi2(dataset)
     if table.single_target:
-        print("warning: single-target dataset, chi2 table is all-zero",
-              file=sys.stderr)
-    write_chi2_tsv(table, args.out)
+        _warn("single-target dataset, chi2 table is all-zero")
+    return table
+
+
+def cmd_build_chi2(args) -> int:
+    write_chi2_tsv(_chi2_table(None, parse_dataset(args.dataset)), args.out)
     return 0
 
 
@@ -221,15 +228,20 @@ def cmd_cluster(args) -> int:
     model = load_embeddings(args.embeddings, fmt=args.format)
     dataset = parse_dataset(args.dataset)
     idf = _load_idf(args)
-    chi2 = read_chi2_tsv(args.chi2) if args.chi2 else build_chi2(dataset)
+    chi2 = _chi2_table(args.chi2, dataset)
 
     by_word = vectorize_dataset(dataset, model, idf, chi2, wcfg)
-    groups = list(by_word.values())
-    labels = parallel_map(lambda group: cluster(group[1], ccfg).labels, groups,
-                          args.jobs)
-    assignments = {cid: str(int(lab))
-                   for (ids, _), word_labels in zip(groups, labels)
-                   for cid, lab in zip(ids, word_labels)}
+    results = parallel_map(lambda X: cluster(X, ccfg),
+                           [X for _, X in by_word.values()], args.jobs)
+    assignments = {}
+    for (word, (ids, X)), result in zip(by_word.items(), results):
+        for cid in compress(ids, ~X.any(axis=1)):
+            _warn(f"context {cid!r}: no contributing tokens, zero vector")
+        if ccfg.algorithm == "agglomerative" and result.k < ccfg.n_clusters:
+            _warn(f"word {word!r}: {len(ids)} context(s), k clamped to {result.k}")
+        if result.converged is False:
+            _warn(f"word {word!r}: affinity propagation did not converge")
+        assignments.update((cid, str(int(lab))) for cid, lab in zip(ids, result.labels))
     write_predictions(dataset, Labeling(assignments), args.out)
     if args.dump_vectors is not None:
         vec_of = {cid: X[i] for ids, X in by_word.values()
@@ -252,7 +264,6 @@ def cmd_evaluate(args) -> int:
     assignments = {row[id_col]: row[pred_col]
                    for row in pred.raw_rows if row[pred_col] != ""}
     report = evaluate(gold, Labeling(assignments))
-    sys.stdout.write(report.to_tsv())
     if args.confusion_dir is not None:
         args.confusion_dir.mkdir(parents=True, exist_ok=True)
         for word, idxs in gold.by_target.items():
@@ -263,9 +274,12 @@ def cmd_evaluate(args) -> int:
                 continue
             rows, cols, counts = confusion_matrix([g for g, _ in pairs],
                                                   [p for _, p in pairs])
-            out = args.confusion_dir / f"{word}.csv"
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(confusion_csv(rows, cols, counts))
+            try:  # open() raises ValueError on an embedded null byte
+                _emit(confusion_csv(rows, cols, counts), args.confusion_dir / f"{word}.csv")
+            except (OSError, ValueError) as exc:
+                raise DataError(f"{args.gold}: cannot write the confusion file of "
+                                f"target word {word!r}: {exc}") from None
+    sys.stdout.write(report.to_tsv())
     return 0
 
 
@@ -273,7 +287,7 @@ def cmd_grid_search(args) -> int:
     model = load_embeddings(args.embeddings, fmt=args.format)
     dataset = parse_dataset(args.dataset)
     idf = read_idf_tsv(args.idf)
-    chi2 = read_chi2_tsv(args.chi2) if args.chi2 else build_chi2(dataset)
+    chi2 = _chi2_table(args.chi2, dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
     result = grid_search(dataset, model, idf, chi2, space, jobs=args.jobs)
     _emit(search_mod.ranked_csv(result), args.out_ranked)

@@ -7,7 +7,6 @@ oscillation-breaking jitter is a fixed function of the point indices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -202,11 +201,7 @@ def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
     n = X.shape[0]
-    k = cfg.n_clusters
-    if k > n:
-        warnings.warn(f"n_clusters={k} exceeds {n} points; clamping to {n}",
-                      stacklevel=2)
-        k = n
+    k = min(cfg.n_clusters, n)
     merges = dendrogram(X, cfg.linkage, cfg.metric)
     labels = cut_merges(merges, n, k)
     return ClusterResult(labels=labels, k=k, merge_trace=merges[: n - k])

@@ -79,7 +79,7 @@ class SearchSpace:
             skipped = [m for m in self.metrics if m != "euclidean"]
             if "ward" in self.linkages and skipped:
                 warnings.warn("ward linkage is euclidean-only; excluding ward with "
-                              + ", ".join(skipped), stacklevel=2)
+                              + ", ".join(skipped), stacklevel=3)  # past __init__
         if "affinity_propagation" in self.algorithms and not (
                 self.damping_grid and self.preference_grid):
             raise ValueError("affinity propagation grids must be non-empty")
@@ -164,11 +164,9 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     if not gold:
         raise ValueError("grid search needs gold senses in the dataset")
     powers = [(pt, pc) for pt in space.power_grid for pc in space.power_grid]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-vector warnings repeat per power pair
-        vectors = dict(zip(powers, vectorize_configs(
-            dataset, model, idf, chi2,
-            [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt, pc in powers])))
+    vectors = dict(zip(powers, vectorize_configs(
+        dataset, model, idf, chi2,
+        [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt, pc in powers])))
 
     def score(labels_by_word: dict[str, np.ndarray]) -> float:
         return weighted_ari((ari_codes(codes, labels_by_word[w][keep]), len(codes))

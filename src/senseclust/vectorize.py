@@ -15,7 +15,6 @@ take this one path.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,9 +105,6 @@ def power_step(terms: ContextTerms, model: EmbeddingModel,
         v = weighted_unit_average(X, weights, model.dim)
         # An exactly cancelling sum counts like an empty context.
         n_contributing = int(np.count_nonzero(weights > 0)) if v.any() else 0
-        if n_contributing == 0:
-            warnings.warn(f"context {terms.context_id!r}: no contributing tokens, "
-                          "zero vector", stacklevel=2)
         out.append(ContextVector(terms.context_id, v, n_contributing))
     return out
 

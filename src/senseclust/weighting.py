@@ -118,8 +118,8 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
     """Presence/absence chi-square of context words against target words.
 
     A context counts once per word it contains (after excluding its own
-    target's forms). With a single distinct target every margin degenerates,
-    so the table is all-zero and flagged.
+    target's forms). With a single distinct target no context lies outside
+    it, so every statistic is 0 and the table is flagged.
     """
     presence = [set(exclude_target(inst.tokens, inst.target))
                 for inst in dataset.instances]
@@ -129,21 +129,17 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
         word_totals.update(words)
 
     values: dict[tuple[str, str], float] = {}
-    single = len(dataset.by_target) < 2
     for target, idxs in dataset.by_target.items():
         n_t = len(idxs)
         counts: Counter[str] = Counter()
         for i in idxs:
             counts.update(presence[i])
         for word, a in counts.items():
-            if single:
-                values[(target, word)] = 0.0
-                continue
             b = word_totals[word] - a
             c = n_t - a
             d = n_total - n_t - b
             values[(target, word)] = chi2_statistic(a, b, c, d)
-    return Chi2Table(values=values, single_target=single)
+    return Chi2Table(values=values, single_target=len(dataset.by_target) < 2)
 
 
 def power(x: float, p: float) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,9 +51,11 @@ def test_empty_input():
         agglomerative(np.zeros((0, 2)), cfg(1))
 
 
-def test_k_clamped_with_warning():
+def test_k_clamped_without_warning():
+    # ClusterResult.k records the clamp; the CLI reports it.
     pts = np.random.default_rng(1).normal(size=(3, 2))
-    with pytest.warns(UserWarning, match="clamping"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = agglomerative(pts, cfg(10))
     assert res.k == 3
 

@@ -147,7 +147,8 @@ def test_evaluate_reports_ari(workspace, capsys):
     assert (workspace / "conf" / "alphaword.csv").exists()
 
 
-@pytest.mark.parametrize("word", ["../x", "a/b", "a\\b"])
+@pytest.mark.parametrize("word", ["../x", "a/b", "a\\b", "a\x00b",
+                                  pytest.param("x" * 300, id="300-chars")])
 def test_evaluate_rejects_a_word_that_is_no_confusion_file_name(tmp_path, capsys,
                                                                 word):
     header = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
@@ -162,11 +163,75 @@ def test_evaluate_rejects_a_word_that_is_no_confusion_file_name(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(word) in captured.err and str(gold) in captured.err
-    assert not (tmp_path / "out").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "pred.tsv"]
+    if "/" in word or "\\" in word:  # refused before the directory is made
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "pred.tsv"]
     # Without --confusion-dir the word is only a label.
     assert run_cli("evaluate", "--gold", gold, "--pred", pred) == 0
     assert capsys.readouterr().out.startswith("word\tn\tari")
+
+
+def write_contexts(path, rows):
+    """Dataset TSV from (context_id, target, gold sense or "", the context
+    after the target) rows."""
+    lines = [synthetic.HEADER]
+    lines += [f"{cid}\t{word}\t{sense}\t\t0-{len(word)}\t{word} {rest}"
+              for cid, word, sense, rest in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_cluster_reports_zero_vectors_clamped_k_and_nonconvergence(workspace, capsys):
+    write_contexts(workspace / "odd.tsv", [
+        ("a1", "alphaword", "", "aw00 aw01 nz00"), ("a2", "alphaword", "", "oov1 oov2"),
+        ("a3", "alphaword", "", "bw00 bw01"), ("a4", "alphaword", "", "aw02 nz01"),
+        ("b1", "betaword", "", "cw00 dw00"),
+        ("g1", "gammaword", "", "gammawords"), ("g2", "gammaword", "", "cw01 nz02")])
+    zero = ["warning: context 'a2': no contributing tokens, zero vector",
+            "warning: context 'g1': no contributing tokens, zero vector"]
+    expected = {
+        ("agglomerative", "--k", "3"): [
+            zero[0], "warning: word 'betaword': 1 context(s), k clamped to 1",
+            zero[1], "warning: word 'gammaword': 2 context(s), k clamped to 2"],
+        ("affinity_propagation", "--max-iter", "1"): [
+            zero[0], "warning: word 'alphaword': affinity propagation did not converge",
+            zero[1], "warning: word 'gammaword': affinity propagation did not converge"]}
+    for (algo, *flags), lines in expected.items():
+        runs = []
+        for jobs in ("1", "2"):
+            out = workspace / f"odd-{algo}-{jobs}.tsv"
+            assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
+                           "--dataset", workspace / "odd.tsv", "--algo", algo, *flags,
+                           "--p-tfidf", "0", "--p-chi2", "0", "--jobs", jobs,
+                           "--out", out) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out, captured.err, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1].splitlines() == lines
+
+
+def test_single_target_notice_from_every_command_that_uses_chi2(workspace, capsys):
+    ws = workspace
+    write_contexts(ws / "one.tsv", [(f"c{i}", "alphaword", "AB"[i % 2], f"aw0{i} nz0{i}")
+                                    for i in range(4)])
+    run_cli("build-idf", "--corpus", ws / "corpus.txt", "--out", ws / "idf.tsv")
+    (ws / "space.cfg").write_text("power_grid = 0, 1\nk_grid = 2\nlinkages = average\n"
+                                  "algorithms = agglomerative\n", encoding="utf-8")
+    notice = "warning: single-target dataset, chi2 table is all-zero"
+    assert run_cli("build-chi2", "--dataset", ws / "one.tsv",
+                   "--out", ws / "chi2.tsv") == 0
+    assert capsys.readouterr().err.splitlines() == [notice]
+    for chi2 in ([], ["--chi2", ws / "chi2.tsv"]):  # built, then read back
+        # The default --p-chi2 1 makes every context of a one-word dataset zero.
+        assert run_cli("cluster", "--embeddings", ws / "emb.txt", "--dataset",
+                       ws / "one.tsv", "--idf", ws / "idf.tsv", *chi2,
+                       "--out", ws / "pred.tsv") == 0
+        assert capsys.readouterr().err.splitlines() == [notice] + [
+            f"warning: context 'c{i}': no contributing tokens, zero vector"
+            for i in range(4)]
+        assert run_cli("grid-search", "--embeddings", ws / "emb.txt", "--dataset",
+                       ws / "one.tsv", "--idf", ws / "idf.tsv", *chi2, "--space",
+                       ws / "space.cfg", "--out-ranked", ws / "ranked.csv") == 0
+        assert capsys.readouterr().err.splitlines() == [notice]
 
 
 def test_ward_cosine_is_usage_error(workspace, capsys):

@@ -1,7 +1,8 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens an input file for reading (numpy's
-file readers count), and no module raises powers with numpy."""
+file readers count), no module raises powers with numpy, and no module
+changes the process-wide warning filters."""
 
 import ast
 import subprocess
@@ -106,4 +107,21 @@ def test_no_numpy_power():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if _numpy_power(node)]
+    assert offenders == []
+
+
+WARNING_FILTER_CALLS = ("catch_warnings", "simplefilter", "filterwarnings",
+                        "resetwarnings")
+
+
+def test_no_module_changes_the_warning_filters():
+    # The filters are process-wide: a library call that swaps them races with
+    # every other thread, and run facts travel in the returned values instead.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {name}()"
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and (name := getattr(node.func, "id", None)
+                           or getattr(node.func, "attr", None)) in WARNING_FILTER_CALLS]
     assert offenders == []

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def test_space_warns_on_ward_metric_exclusion():
     with pytest.warns(UserWarning, match="ward"):
         SearchSpace(linkages=("ward",), metrics=("euclidean", "cosine"),
                     algorithms=("agglomerative",))
+
+
+def test_space_ward_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="ward") as record:
+        SearchSpace(linkages=("ward",), metrics=("euclidean", "cosine"),
+                    algorithms=("agglomerative",))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_space_validation():
@@ -169,6 +177,22 @@ def test_jobs_do_not_change_output(small_problem):
     serial = grid_search(dataset, model, idf, chi2, space, jobs=1)
     parallel = grid_search(dataset, model, idf, chi2, space, jobs=4)
     assert serial.ranked == parallel.ranked
+
+
+def test_concurrent_searches_leave_the_warning_filters_alone(small_problem):
+    space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2,), linkages=("average",),
+                        algorithms=("agglomerative",))
+    before = list(warnings.filters)
+
+    def rounds(_):
+        for _ in range(50):
+            grid_search(*small_problem, space)
+
+    parallel_map(rounds, range(4), jobs=4)
+    assert warnings.filters == before
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.warn("still recorded")
+    assert [str(w.message) for w in caught] == ["still recorded"]
 
 
 def test_parallel_map_keeps_order_and_rejects_no_workers():

@@ -74,7 +74,8 @@ def test_two_token_arithmetic():
 
 def test_all_oov_yields_zero_vector():
     model = make_model({"w1": (1, 0)})
-    with pytest.warns(UserWarning, match="no contributing"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cv = vectorize(make_instance(["oovword", "another"]), model, FLAT_IDF,
                        Chi2Table(), WeightingConfig(0.0, 0.0))
     assert cv.n_contributing == 0
@@ -83,7 +84,8 @@ def test_all_oov_yields_zero_vector():
 
 def test_all_excluded_yields_zero_vector():
     model = make_model({"банка": (1, 0), "банки": (0, 1)})
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cv = vectorize(make_instance(["банка", "банки"], target="банка"),
                        model, FLAT_IDF, Chi2Table(), WeightingConfig(0.0, 0.0))
     assert cv.n_contributing == 0
@@ -176,7 +178,8 @@ def test_duplicate_tokens_contribute_per_occurrence():
 
 def test_exact_cancellation_treated_as_empty():
     model = make_model({"w1": (1.0, 0.0), "w2": (-1.0, 0.0)})
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cv = vectorize(make_instance(["w1", "w2"]), model, FLAT_IDF,
                        Chi2Table(), WeightingConfig(0.0, 0.0))
     assert cv.n_contributing == 0

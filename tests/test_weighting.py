@@ -142,6 +142,13 @@ def test_build_chi2_single_target_degenerates():
     table = build_chi2(ds)
     assert table.single_target
     assert all(v == 0.0 for v in table.values.values())
+    # A word present in some contexts and absent from others: no context lies
+    # outside the one target, so the statistic is 0 on the empty margin.
+    ds = make_dataset([("c1", "zzzzz", ["x", "w"]), ("c2", "zzzzz", ["y", "w"]),
+                       ("c3", "zzzzz", ["x"])])
+    table = build_chi2(ds)
+    assert table.single_target
+    assert table.values == {("zzzzz", w): 0.0 for w in ("x", "w", "y")}
 
 
 def test_exclusive_cooccurrence_dominates():
