@@ -26,8 +26,7 @@ print("\ntf doubles the weight:",
 
 def instance(cid, target, tokens):
     return ContextInstance(context_id=cid, target=target, gold_sense=None,
-                           target_spans=[], raw_context=" ".join(tokens),
-                           tokens=tokens)
+                           target_spans=[], raw_context=" ".join(tokens))
 
 
 # two targets; "insurance" appears only with "policy" contexts,

@@ -29,8 +29,7 @@ chi2 = sc.Chi2Table(values={("банка", "хранят"): 3.0, ("банка", 
                             ("банка", "бак"): 1.0})
 
 inst = ContextInstance(context_id="c1", target="банка", gold_sense=None,
-                       target_spans=[], raw_context=" ".join(tokens),
-                       tokens=tokens)
+                       target_spans=[], raw_context=" ".join(tokens))
 
 cv = sc.vectorize(inst, model, idf, chi2, sc.WeightingConfig(p_tfidf=1.0,
                                                              p_chi2=1.0))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import search as search_mod
 from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster
-from .dataset import parse_dataset, write_predictions
+from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
 from .errors import DataError, read_lines
@@ -207,6 +207,13 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _read_dataset(path: Path) -> Dataset:
+    dataset = parse_dataset(path)
+    for message in dataset.warnings:  # flagged target spans
+        _warn(message)
+    return dataset
+
+
 def _chi2_table(path: Path | None, dataset) -> Chi2Table:
     table = read_chi2_tsv(path) if path is not None else build_chi2(dataset)
     if table.single_target:
@@ -215,7 +222,7 @@ def _chi2_table(path: Path | None, dataset) -> Chi2Table:
 
 
 def cmd_build_chi2(args) -> int:
-    write_chi2_tsv(_chi2_table(None, parse_dataset(args.dataset)), args.out)
+    write_chi2_tsv(_chi2_table(None, _read_dataset(args.dataset)), args.out)
     return 0
 
 
@@ -226,7 +233,7 @@ def cmd_cluster(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     model = load_embeddings(args.embeddings, fmt=args.format)
-    dataset = parse_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     idf = _load_idf(args)
     chi2 = _chi2_table(args.chi2, dataset)
 
@@ -252,13 +259,13 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gold = parse_dataset(args.gold)
+    gold = _read_dataset(args.gold)
     if args.confusion_dir is not None:
         for word in gold.by_target:  # each word names a file in the directory
             if "/" in word or "\\" in word:
                 raise DataError(f"{args.gold}: target word {word!r} contains a "
                                 "path separator and cannot name a confusion file")
-    pred = parse_dataset(args.pred)
+    pred = _read_dataset(args.pred)
     pred_col = pred.header.index("predict_sense_id")
     id_col = pred.header.index("context_id")
     assignments = {row[id_col]: row[pred_col]
@@ -285,7 +292,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     model = load_embeddings(args.embeddings, fmt=args.format)
-    dataset = parse_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     idf = read_idf_tsv(args.idf)
     chi2 = _chi2_table(args.chi2, dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
@@ -320,7 +327,7 @@ def cmd_mt_label(args) -> int:
     records = read_translations(args.translations)
     labeling = label_by_translation(records, Stemmer(algorithm=args.stemmer))
     if args.dataset is not None:
-        dataset = parse_dataset(args.dataset)
+        dataset = _read_dataset(args.dataset)
         if args.out is None:
             raise UsageError("--out is required together with --dataset")
         write_predictions(dataset, labeling, args.out)

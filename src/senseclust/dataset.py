@@ -8,13 +8,13 @@ inside ``context``; sense-id columns may be empty.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .errors import DataError, line_message, read_lines
-from .text import matches_target_form, normalize_token, strip_punct, tokenize
+from .text import exclude_target, matches_target_form, normalize_token, strip_punct, tokenize
 
 REQUIRED_COLUMNS = ("context_id", "word", "gold_sense_id", "predict_sense_id",
                     "positions", "context")
@@ -29,7 +29,16 @@ class ContextInstance:
     gold_sense: str | None
     target_spans: list[tuple[int, int]]
     raw_context: str
-    tokens: list[str]
+
+    @property
+    def tokens(self) -> list[str]:
+        """``raw_context`` tokenized anew on each read."""
+        return tokenize(self.raw_context)
+
+    @cached_property
+    def kept(self) -> list[str]:
+        """The tokens without the target's forms, computed on first read."""
+        return exclude_target(self.tokens, self.target)
 
 
 @dataclass
@@ -63,12 +72,11 @@ def _parse_positions(raw: str, context: str) -> list[tuple[int, int]]:
 def parse_dataset(path: str | Path, report_to=None) -> Dataset:
     """Parse a dataset TSV; rows with suspicious spans are kept but flagged.
 
-    The first non-empty line is the header. Flag messages go to
-    ``report_to`` (default: standard error) and are also collected on the
-    returned Dataset.
+    The first non-empty line is the header. Flag messages are collected on
+    the returned Dataset's ``warnings``, and also written to ``report_to``
+    when it is given.
     """
     path = Path(path)
-    stream = sys.stderr if report_to is None else report_to
     instances: list[ContextInstance] = []
     by_target: dict[str, list[int]] = {}
     raw_rows: list[list[str]] = []
@@ -104,19 +112,14 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
                     flags.append(line_message(
                         path, lineno, f"span {start}-{end} text {snippet!r} "
                         f"does not look like a form of target {target!r}"))
-            inst = ContextInstance(
-                context_id=context_id,
-                target=target,
-                gold_sense=gold,
-                target_spans=spans,
-                raw_context=context,
-                tokens=tokenize(context),
-            )
             by_target.setdefault(target, []).append(len(instances))
-            instances.append(inst)
+            instances.append(ContextInstance(context_id=context_id, target=target,
+                                             gold_sense=gold, target_spans=spans,
+                                             raw_context=context))
             raw_rows.append(row)
-    for msg in flags:
-        print(msg, file=stream)
+    if report_to is not None:
+        for msg in flags:
+            print(msg, file=report_to)
     return Dataset(instances=instances, by_target=by_target, header=header,
                    raw_rows=raw_rows, warnings=flags)
 

@@ -43,10 +43,17 @@ def tokenize(text: str) -> list[str]:
     """
     out = []
     for raw in text.split():
-        tok = normalize_token(strip_punct(raw))
-        if tok:
+        # No alphanumeric character is punctuation: alphanumeric ends need no strip.
+        if not (raw[0].isalnum() and raw[-1].isalnum()):
+            raw = strip_punct(raw)
+        if tok := normalize_token(raw):
             out.append(tok)
     return out
+
+
+def _target_prefix(target: str) -> str:
+    """The prefix that ``matches_target_form`` requires (slicing caps it)."""
+    return target[:max(PREFIX_FLOOR, len(target) - 2)]
 
 
 def matches_target_form(token: str, target: str) -> bool:
@@ -56,10 +63,10 @@ def matches_target_form(token: str, target: str) -> bool:
     characters, capped at len(target) so that a short target still matches
     itself and its extensions.
     """
-    threshold = min(len(target), max(PREFIX_FLOOR, len(target) - 2))
-    return token.startswith(target[:threshold])
+    return token.startswith(_target_prefix(target))
 
 
 def exclude_target(tokens: Sequence[str], target: str) -> list[str]:
     """Drop every token matching the target by the shared-prefix rule."""
-    return [t for t in tokens if not matches_target_form(t, target)]
+    prefix = _target_prefix(target)
+    return [t for t in tokens if not t.startswith(prefix)]

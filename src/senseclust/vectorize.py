@@ -6,11 +6,11 @@ chi-square power weight, the weight vector is L2-normalized, the weighted
 sum of (unnormalized) embeddings is taken, and the result is L2-normalized.
 
 Only the power weight depends on the weighting config, so vectorizing is
-split in two: ``context_terms`` (target exclusion, embedding rows, tf-idf
-and chi-square, built once per context) and ``power_step`` (each value
-raised once per distinct exponent, then one weight product and average per
-config). ``vectorize``, ``vectorize_dataset`` and ``vectorize_configs`` all
-take this one path.
+split in two: ``context_terms`` (embedding rows, tf-idf and chi-square of
+``ContextInstance.kept``, built once per context) and ``power_step`` (each
+value raised once per distinct exponent, then one weight product and average
+per config). ``vectorize``, ``vectorize_dataset`` and ``vectorize_configs``
+all take this one path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import ContextInstance
 from .embeddings import EmbeddingModel
-from .text import exclude_target, normalize_token
+from .text import exclude_target  # noqa: F401  (re-exported)
 from .weighting import Chi2Table, IdfTable, WeightingConfig, power
 
 
@@ -73,12 +73,11 @@ class ContextTerms:
 
 def context_terms(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
                   chi2: Chi2Table) -> ContextTerms:
-    """Exclude the target's forms, look tokens up, and weigh each occurrence."""
-    kept = exclude_target(instance.tokens, instance.target)
-    tf = Counter(kept)
+    """Look up each kept token (``instance.kept``) and weigh each occurrence."""
+    tf = Counter(instance.kept)
     rows, tfidf_w, chi2_w = [], [], []
-    for tok in kept:
-        row = model.index.get(normalize_token(tok))
+    for tok in instance.kept:
+        row = model.index.get(tok)
         if row is not None:
             rows.append(row)
             tfidf_w.append(tf[tok] * idf.idf(tok))

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataError, read_lines, split_fields
-from .text import exclude_target, normalize_token
+from .text import normalize_token
 
 if TYPE_CHECKING:
     from .dataset import Dataset
@@ -121,8 +121,7 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
     target's forms). With a single distinct target no context lies outside
     it, so every statistic is 0 and the table is flagged.
     """
-    presence = [set(exclude_target(inst.tokens, inst.target))
-                for inst in dataset.instances]
+    presence = [set(inst.kept) for inst in dataset.instances]
     n_total = len(presence)
     word_totals: Counter[str] = Counter()
     for words in presence:

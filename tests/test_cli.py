@@ -147,6 +147,47 @@ def test_evaluate_reports_ari(workspace, capsys):
     assert (workspace / "conf" / "alphaword.csv").exists()
 
 
+def test_evaluate_tokenizes_nothing(workspace, capsys, monkeypatch):
+    run_cli("cluster", "--embeddings", workspace / "emb.txt",
+            "--dataset", workspace / "train.tsv", "--k", "2",
+            "--p-tfidf", "0", "--p-chi2", "1", "--out", workspace / "pred.tsv")
+    args = ("evaluate", "--gold", workspace / "train.tsv", "--pred", workspace / "pred.tsv")
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    expected = capsys.readouterr()
+
+    def refuse(text):
+        raise AssertionError("tokenize called")
+
+    monkeypatch.setattr("senseclust.text.tokenize", refuse)
+    monkeypatch.setattr("senseclust.dataset.tokenize", refuse)
+    assert run_cli(*args) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith("word\tn\tari")
+
+
+def test_span_flags_are_warnings(workspace, capsys):
+    ws = workspace
+    write_contexts(ws / "flagged.tsv", [(f"{word}{i}", word, "AB"[i % 2], f"aw0{i} nz0{i}")
+                                        for word in ("alphaword", "betaword")
+                                        for i in range(4)])
+    text = (ws / "flagged.tsv").read_text(encoding="utf-8")
+    (ws / "flagged.tsv").write_text(text.replace("0-9\talphaword aw00", "0-4\tzzzz aw00"),
+                                    encoding="utf-8")
+
+    def flag(path):
+        return (f"warning: {path}: line 2: span 0-4 text 'zzzz' does not look like "
+                "a form of target 'alphaword'")
+
+    assert run_cli("cluster", "--embeddings", ws / "emb.txt", "--dataset", ws / "flagged.tsv",
+                   "--k", "2", "--p-tfidf", "0", "--p-chi2", "0",
+                   "--out", ws / "pred.tsv") == 0
+    assert capsys.readouterr().err.splitlines() == [flag(ws / "flagged.tsv")]
+    assert run_cli("evaluate", "--gold", ws / "flagged.tsv", "--pred", ws / "pred.tsv") == 0
+    assert capsys.readouterr().err.splitlines() == [flag(ws / "flagged.tsv"),
+                                                    flag(ws / "pred.tsv")]
+
+
 @pytest.mark.parametrize("word", ["../x", "a/b", "a\\b", "a\x00b",
                                   pytest.param("x" * 300, id="300-chars")])
 def test_evaluate_rejects_a_word_that_is_no_confusion_file_name(tmp_path, capsys,

@@ -1,10 +1,16 @@
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import senseclust.dataset as dataset_module
+import senseclust.text as text_module
 from senseclust.dataset import parse_dataset, tokenize, write_predictions
 from senseclust.errors import DataError
 from senseclust.evaluate import Labeling
+from senseclust.text import normalize_token, strip_punct
 
 HEADER = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
 
@@ -81,7 +87,7 @@ def test_span_mismatch_flagged_not_fatal(tmp_path, capsys):
     assert len(ds.instances) == 1
     assert len(ds.warnings) == 1
     assert "line 2" in ds.warnings[0]
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""  # the CLI prints ds.warnings
 
 
 def test_tokenize_strips_punctuation():
@@ -109,6 +115,44 @@ def test_tokenize_properties(text):
         assert tok == tok.lower()
         assert tok
         assert not tok[0].isspace() and not tok[-1].isspace()
+
+
+# Letters, digits, punctuation, symbols, combining marks (NFC composes some
+# of them) and whitespace.
+CONTEXT_TEXT = st.text(st.one_of(
+    st.characters(categories=("L", "N", "P", "M", "Zs", "S")),
+    st.sampled_from(" \t\n-.,!?«»()'\"\u0301\u0308\u00a0банкБАНКё1")), max_size=80)
+
+
+@given(CONTEXT_TEXT)
+def test_tokenize_equals_strip_then_normalize(text):
+    assert tokenize(text) == [t for w in text.split()
+                              if (t := normalize_token(strip_punct(w)))]
+
+
+def test_no_alphanumeric_character_is_punctuation():
+    """tokenize skips strip_punct for a word with alphanumeric ends."""
+    assert [hex(cp) for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")] == []
+
+
+def test_parse_tokenizes_nothing_and_tokens_derive_from_raw_context(tmp_path,
+                                                                   monkeypatch):
+    path = make_tsv(tmp_path, ["c1\tбанк\t1\t\t1-5\t«Банк» выдал, кредит.",
+                               "c2\tбанк\t\t\t4-9\tвот банки и Банкомат!"])
+
+    def refuse(text):
+        raise AssertionError("tokenize called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(text_module, "tokenize", refuse)
+        patch.setattr(dataset_module, "tokenize", refuse)
+        ds = parse_dataset(path)
+    assert ds.warnings == []
+    assert [inst.tokens for inst in ds.instances] == [
+        tokenize(inst.raw_context) for inst in ds.instances]
+    assert ds.instances[0].tokens == ["банк", "выдал", "кредит"]
+    assert [inst.kept for inst in ds.instances] == [["выдал", "кредит"], ["вот", "и"]]
 
 
 def test_write_predictions_round_trip(tmp_path):

@@ -19,7 +19,7 @@ def make_dataset(rows):
         by_target.setdefault(target, []).append(len(instances))
         instances.append(ContextInstance(context_id=cid, target=target,
                                          gold_sense=gold, target_spans=[],
-                                         raw_context="", tokens=[]))
+                                         raw_context=""))
     return Dataset(instances=instances, by_target=by_target)
 
 

@@ -136,7 +136,7 @@ def _unique_token_dataset():
             by_target.setdefault(target, []).append(len(instances))
             instances.append(ContextInstance(
                 context_id=f"c{cid}", target=target, gold_sense=str(i % 2),
-                target_spans=[], raw_context=tok, tokens=[tok]))
+                target_spans=[], raw_context=tok))
             cid += 1
     model = synthetic.model_from_entries(entries)
     return Dataset(instances=instances, by_target=by_target), model

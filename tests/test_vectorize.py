@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import sys
 import unicodedata
 import warnings
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import senseclust.text as text_module
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.search import SearchSpace, grid_search
 from senseclust.text import exclude_target, matches_target_form, normalize_token
@@ -24,8 +26,7 @@ import synthetic
 
 def make_instance(tokens, target="zzzzz", cid="c1"):
     return ContextInstance(context_id=cid, target=target, gold_sense=None,
-                           target_spans=[], raw_context=" ".join(tokens),
-                           tokens=list(tokens))
+                           target_spans=[], raw_context=" ".join(tokens))
 
 
 def make_model(entries):
@@ -59,6 +60,21 @@ def test_prefix_threshold_arithmetic():
     # ...but the threshold never exceeds the target's own length
     assert exclude_target(["лук", "лука", "стол"], "лук") == ["стол"]
     assert not matches_target_form("лес", "лук")
+
+
+@given(st.data())
+def test_exclude_target_is_the_form_filter(data):
+    """Every target length, short ones included: the prefix is
+    max(4, len - 2) characters, capped at the target's length."""
+    target = data.draw(st.text(alphabet="абвгд", min_size=1, max_size=9))
+    piece = st.text(alphabet="абвгд", max_size=4)
+    token = st.one_of(piece, st.builds(lambda k, s: target[:k] + s,
+                                       st.integers(0, len(target)), piece))
+    tokens = data.draw(st.lists(token, max_size=12))
+    threshold = min(len(target), max(4, len(target) - 2))
+    expected = [t for t in tokens if not t.startswith(target[:threshold])]
+    assert exclude_target(tokens, target) == expected
+    assert expected == [t for t in tokens if not matches_target_form(t, target)]
 
 
 # --- vectorize -------------------------------------------------------------
@@ -284,7 +300,7 @@ def vectorize_problems(draw):
         by_target.setdefault(target, []).append(i)
         instances.append(ContextInstance(context_id=f"c{i}", target=target,
                                          gold_sense=None, target_spans=[],
-                                         raw_context=" ".join(tokens), tokens=tokens))
+                                         raw_context=" ".join(tokens)))
     return Dataset(instances=instances, by_target=by_target), model, idf, chi2
 
 
@@ -295,11 +311,9 @@ def test_split_vectorizer_is_bitwise_equal_to_reference(problem):
     for pt in POWER_GRID:
         for pc in POWER_GRID:
             cfg = WeightingConfig(p_tfidf=pt, p_chi2=pc)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                by_word = vectorize_dataset(dataset, model, idf, chi2, cfg)
-                singles = [vectorize(inst, model, idf, chi2, cfg)
-                           for inst in dataset.instances]
+            by_word = vectorize_dataset(dataset, model, idf, chi2, cfg)
+            singles = [vectorize(inst, model, idf, chi2, cfg)
+                       for inst in dataset.instances]
             assert list(by_word) == list(dataset.by_target)
             for word, idxs in dataset.by_target.items():
                 ids, X = by_word[word]
@@ -315,9 +329,7 @@ def test_split_vectorizer_is_bitwise_equal_to_reference(problem):
     cfgs = [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt in POWER_GRID for pc in POWER_GRID]
     cfgs.append(WeightingConfig(p_tfidf=1.5, p_chi2=0.0))
     random.Random(len(dataset.instances)).shuffle(cfgs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outs = vectorize_configs(dataset, model, idf, chi2, cfgs)
+    outs = vectorize_configs(dataset, model, idf, chi2, cfgs)
     for cfg, by_word in zip(cfgs, outs):
         assert list(by_word) == list(dataset.by_target)
         for word, idxs in dataset.by_target.items():
@@ -339,7 +351,7 @@ def test_grid_search_builds_each_contexts_terms_once(monkeypatch):
         by_target.setdefault(target, []).append(i)
         instances.append(ContextInstance(context_id=f"c{i}", target=target,
                                          gold_sense=str(i % 3), target_spans=[],
-                                         raw_context=" ".join(tokens), tokens=tokens))
+                                         raw_context=" ".join(tokens)))
     dataset = Dataset(instances=instances, by_target=by_target)
     built = Counter()
     # The package's ``vectorize`` function shadows the submodule's name.
@@ -356,3 +368,40 @@ def test_grid_search_builds_each_contexts_terms_once(monkeypatch):
                          build_chi2(dataset), space)
     assert len(result.ranked) == space.size() == 1548
     assert built == Counter({inst.context_id: 1 for inst in instances})
+
+
+@pytest.mark.parametrize("consumer", ["vectorize_dataset", "grid_search"])
+def test_each_context_is_tokenized_and_filtered_once(tmp_path, monkeypatch, consumer):
+    """build_chi2 and then the vectorizer or the search read each context's
+    kept tokens: one tokenize and one target exclusion per instance."""
+    dataset = synthetic.write_dataset(tmp_path / "ds.tsv", contexts_per_sense=4)
+    model = synthetic.build_model(seed=0)
+    idf = synthetic.build_background_idf(seed=3)
+    expected_tokenized = Counter(inst.raw_context for inst in dataset.instances)
+    expected_excluded = Counter((tuple(text_module.tokenize(inst.raw_context)), inst.target)
+                                for inst in dataset.instances)
+    tokenized, excluded = Counter(), Counter()
+    tokenize, exclude = text_module.tokenize, text_module.exclude_target
+
+    def counting_tokenize(text):
+        tokenized[text] += 1
+        return tokenize(text)
+
+    def counting_exclude(tokens, target):
+        excluded[tuple(tokens), target] += 1
+        return exclude(tokens, target)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("senseclust"):
+            for attr, fake in (("tokenize", counting_tokenize),
+                               ("exclude_target", counting_exclude)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, fake)
+    chi2 = build_chi2(dataset)
+    if consumer == "vectorize_dataset":
+        vectorize_dataset(dataset, model, idf, chi2, WeightingConfig(1.0, 1.0))
+    else:
+        space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2,), linkages=("average",))
+        grid_search(dataset, model, idf, chi2, space)
+    assert tokenized == expected_tokenized
+    assert excluded == expected_excluded

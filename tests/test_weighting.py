@@ -19,7 +19,7 @@ def make_dataset(rows):
         by_target.setdefault(target, []).append(len(instances))
         instances.append(ContextInstance(
             context_id=cid, target=target, gold_sense=None, target_spans=[],
-            raw_context=" ".join(tokens), tokens=list(tokens)))
+            raw_context=" ".join(tokens)))
     return Dataset(instances=instances, by_target=by_target)
 
 
