@@ -15,6 +15,8 @@ import numpy as np
 LINKAGES = ("ward", "average", "complete")
 METRICS = ("euclidean", "manhattan", "cosine")
 ALGORITHMS = ("agglomerative", "affinity_propagation")
+# Below about 200 rows a rebuild costs more than the shorter scans save.
+_REBUILD_FLOOR = 200
 
 
 @dataclass
@@ -118,6 +120,13 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     makes the sequence deterministic. For ward linkage the recorded distance
     is the Lance-Williams value on the squared-euclidean scale (initialized
     to ||x_i - x_j||^2 between singletons).
+
+    A merge retires row b (inf row and column, size 0). Once a quarter of a
+    matrix of at least ``_REBUILD_FLOOR`` rows is retired, the matrix is
+    rebuilt from its active rows, so the scans cost about the active count
+    squared. Rows stay in ascending original index (``slot``), every update
+    sees the same operands as on the full matrix, and merges are recorded in
+    original indices: the result is bitwise that of the full-matrix loop.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -132,16 +141,22 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
         raise ValueError("no points to cluster")
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n, dtype=np.int64)
+    slot = list(range(n))  # original index of each row, ascending
+    m = n
     merges: list[tuple[int, int, float]] = []
-    for _ in range(n - 1):
-        # Row-major argmin implements the lowest-(a, b) tie rule because each
-        # active slot index equals its cluster's minimum original index.
-        flat = int(np.argmin(D))
-        a, b = divmod(flat, n)
+    for active in range(n, 1, -1):
+        if m >= _REBUILD_FLOOR and 4 * (m - active) >= m:
+            keep = np.flatnonzero(sizes)
+            D, sizes, m = D[np.ix_(keep, keep)], sizes[keep], active
+            slot = [slot[i] for i in keep]
+        # Row-major argmin implements the lowest-(a, b) tie rule because rows
+        # are in ascending slot order and each active slot is its cluster's
+        # minimum original index.
+        a, b = divmod(int(np.argmin(D)), m)
         if a > b:
             a, b = b, a
         dist = float(D[a, b])
-        merges.append((a, b, dist))
+        merges.append((slot[a], slot[b], dist))
         # Lance-Williams on the whole rows: each retired slot, and a and b
         # themselves, is inf in D[a] or D[b] and every coefficient is
         # positive, so it stays inf without a mask.
@@ -161,7 +176,8 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
             Da -= sizes * dist
             Da /= sa + sb + sizes
         D[:, a] = Da
-        sizes[a] += sizes[b]
+        sizes[a] += sb
+        sizes[b] = 0
         D[b, :] = np.inf
         D[:, b] = np.inf
     return merges

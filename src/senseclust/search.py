@@ -47,12 +47,13 @@ def parse_preference(value) -> float | None:
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """``[fn(x) for x in items]``, run on ``jobs`` threads, in input order."""
+    """``[fn(x) for x in items]``, run on at most ``jobs`` threads, in input order."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

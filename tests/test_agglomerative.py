@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -255,9 +256,23 @@ def merge_bits(merges):
     return [(a, b, dist.hex()) for a, b, dist in merges]
 
 
-@pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
-def test_merges_equal_masked_update_loop_bitwise(linkage, metric):
-    for n in range(1, 61):
+def assert_merges_equal_masked(sizes, linkage, metric):
+    for n in sizes:
         for name, X in merge_fixtures(n).items():
             assert merge_bits(dendrogram(X, linkage, metric)) == \
                 merge_bits(masked_dendrogram(X, linkage, metric)), (name, n)
+
+
+@pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
+def test_merges_equal_masked_update_loop_bitwise(linkage, metric):
+    # 201, 260 and 520 lie above the rebuild floor, so rows are dropped.
+    assert_merges_equal_masked([*range(1, 61), 201, 260, 520], linkage, metric)
+
+
+@pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
+def test_merges_equal_masked_update_loop_when_rebuilding_at_every_size(
+        linkage, metric, monkeypatch):
+    # The package exports a function named ``cluster``, which hides the module.
+    module = importlib.import_module("senseclust.cluster")
+    monkeypatch.setattr(module, "_REBUILD_FLOOR", 2)
+    assert_merges_equal_masked(range(1, 61), linkage, metric)

@@ -1,5 +1,6 @@
 import re
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ def test_parallel_map_keeps_order_and_rejects_no_workers():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             parallel_map(lambda x: x, items, jobs)
+
+
+def test_parallel_map_starts_no_more_threads_than_items(monkeypatch):
+    started = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    assert parallel_map(lambda x: -x, range(3), jobs=5000) == [0, -1, -2]
+    assert parallel_map(lambda x: -x, [7], jobs=5000) == [-7]
+    assert parallel_map(lambda x: -x, [], jobs=4) == []
+    assert started == [3]
 
 
 def test_monotone_dominance(small_problem):
