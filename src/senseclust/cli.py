@@ -176,14 +176,6 @@ def _emit(text: str, out: Path | None) -> None:
             fh.write(text)
 
 
-def _load_idf(args) -> IdfTable:
-    if args.idf is not None:
-        return read_idf_tsv(args.idf)
-    if args.p_tfidf != 0.0:
-        raise UsageError("--idf is required when --p-tfidf is nonzero")
-    return IdfTable(n_docs=1, df={})
-
-
 def _clustering_config(args) -> ClusteringConfig:
     try:
         return ClusteringConfig(
@@ -232,9 +224,11 @@ def cmd_cluster(args) -> int:
         wcfg = WeightingConfig(p_tfidf=args.p_tfidf, p_chi2=args.p_chi2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.idf is None and args.p_tfidf != 0.0:
+        raise UsageError("--idf is required when --p-tfidf is nonzero")
     model = load_embeddings(args.embeddings, fmt=args.format)
     dataset = _read_dataset(args.dataset)
-    idf = _load_idf(args)
+    idf = read_idf_tsv(args.idf) if args.idf is not None else IdfTable(n_docs=1, df={})
     chi2 = _chi2_table(args.chi2, dataset)
 
     by_word = vectorize_dataset(dataset, model, idf, chi2, wcfg)
@@ -324,13 +318,12 @@ def cmd_norm_report(args) -> int:
 
 
 def cmd_mt_label(args) -> int:
+    if args.dataset is not None and args.out is None:
+        raise UsageError("--out is required together with --dataset")
     records = read_translations(args.translations)
     labeling = label_by_translation(records, Stemmer(algorithm=args.stemmer))
     if args.dataset is not None:
-        dataset = _read_dataset(args.dataset)
-        if args.out is None:
-            raise UsageError("--out is required together with --dataset")
-        write_predictions(dataset, labeling, args.out)
+        write_predictions(_read_dataset(args.dataset), labeling, args.out)
     else:
         text = "".join(f"{cid}\t{label}\n"
                        for cid, label in sorted(labeling.assignments.items()))

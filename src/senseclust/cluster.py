@@ -69,12 +69,23 @@ class ClusterResult:
 def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     """Dense symmetric distance matrix with a zero diagonal.
 
-    Cosine distance is 1 - cos(x, y); a zero vector is at distance 1 from
-    every other point.
+    ``metric`` is one of METRICS, or "sqeuclidean" for the squared euclidean
+    distances that ward and affinity propagation use. Cosine distance is
+    1 - cos(x, y); a zero vector is at distance 1 from every other point.
     """
     X = np.ascontiguousarray(points, dtype=np.float64)
-    if metric == "euclidean":
-        return np.sqrt(_squared_euclidean(X))
+    return gram_distances(X, None if metric == "manhattan" else gram_matrix(X), metric)
+
+
+def gram_matrix(X: np.ndarray) -> np.ndarray:
+    """``X @ X.T``, the one matrix product behind every metric but manhattan."""
+    return X @ X.T
+
+
+def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.ndarray:
+    """``pairwise_distances(X, metric)`` for C-contiguous float64 X, from
+    ``gram = gram_matrix(X)``, which is left as it is, so that one product
+    serves every metric of a point set. Manhattan does not read it."""
     if metric == "manhattan":
         # Upper triangle row by row in one reused buffer, each row mirrored
         # into its column; |x - y| == |y - x| bit for bit.
@@ -86,28 +97,25 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
             D[i + 1:, i] = D[i, i + 1:]
         return D
     if metric == "cosine":
-        gram = X @ X.T
         norms = np.sqrt(np.diag(gram).copy())
         zero = norms == 0.0
         safe = np.where(zero, 1.0, norms)
-        d = 1.0 - gram / np.outer(safe, safe)
-        d[zero, :] = 1.0
-        d[:, zero] = 1.0
-        np.fill_diagonal(d, 0.0)
-        return np.maximum(d, 0.0)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _squared_euclidean(points: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances in Gram form, clamped at 0, zero diagonal."""
-    # Squared norms are row sums, not centered: a zero vector then lies at
-    # exactly sq[j] from point j, as in the difference form, so ties stay ties.
-    X = np.ascontiguousarray(points, dtype=np.float64)
+        D = 1.0 - gram / np.outer(safe, safe)
+        D[zero, :] = 1.0
+        D[:, zero] = 1.0
+        np.fill_diagonal(D, 0.0)
+        return np.maximum(D, 0.0, out=D)
+    if metric not in ("euclidean", "sqeuclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
+    # Squared norms are row sums, not the Gram diagonal: a zero vector then
+    # lies at exactly sq[j] from point j, as in the difference form, so ties
+    # stay ties. Clamped at 0, zero diagonal.
     sq = (X * X).sum(axis=1)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    D = np.add.outer(sq, sq)
+    D -= 2.0 * gram
     np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
-    return D
+    return np.sqrt(D, out=D) if metric == "euclidean" else D
 
 
 def dendrogram(points, linkage: str, metric: str = "euclidean"
@@ -130,12 +138,15 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
-    if linkage == "ward":
-        if metric != "euclidean":
-            raise ValueError("ward linkage requires the euclidean metric")
-        D = _squared_euclidean(points)
-    else:
-        D = pairwise_distances(points, metric)
+    if linkage == "ward" and metric != "euclidean":
+        raise ValueError("ward linkage requires the euclidean metric")
+    return merge_sequence(pairwise_distances(
+        points, "sqeuclidean" if linkage == "ward" else metric), linkage)
+
+
+def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+    """``dendrogram``'s merges from its distance matrix D, which is consumed:
+    squared euclidean for ward, the linkage's metric otherwise."""
     n = D.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
@@ -306,11 +317,19 @@ def affinity_propagation(points, cfg: ClusteringConfig) -> ClusterResult:
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
-    n = X.shape[0]
+    return propagate(-pairwise_distances(X, "sqeuclidean"), cfg)
+
+
+def propagate(S: np.ndarray, cfg: ClusteringConfig) -> ClusterResult:
+    """``affinity_propagation`` from the similarities S of its points.
+
+    Only S's diagonal is written (the preference), so one S serves every
+    config of a point set.
+    """
+    n = S.shape[0]
     if n == 1:
         return ClusterResult(labels=np.zeros(1, dtype=np.int64), k=1,
                              exemplars=[0], converged=True)
-    S = -_squared_euclidean(X)
     pref = cfg.preference
     if pref is None:  # the median off-diagonal similarity
         pref = float(np.median(S[~np.eye(n, dtype=bool)]))

@@ -26,29 +26,42 @@ def _canonical_partition(labels: Sequence[Hashable]) -> list[int]:
 def ari_codes(gold: np.ndarray, pred: np.ndarray) -> float:
     """Adjusted Rand Index of two non-empty, equally long integer labelings.
 
-    Labels are non-negative integers; they need not be contiguous. The
-    contingency table is one ``np.bincount``; the pair sums are exact
-    integers.
+    Labels are non-negative integers; they need not be contiguous.
     """
-    n = len(gold)
-    contingency = np.bincount(gold * (int(pred.max()) + 1) + pred)
-    index = _pair_sum(contingency)
-    sum_a = _pair_sum(np.bincount(gold))
-    sum_b = _pair_sum(np.bincount(pred))
+    return ari_rows(gold, pred[None, :])[0]
+
+
+def ari_rows(gold: np.ndarray, preds: np.ndarray) -> list[float]:
+    """``[ari_codes(gold, pred) for pred in preds]`` for a 2-D ``preds``.
+
+    The contingency tables of all rows are one ``np.bincount``; the pair
+    sums are exact integers, so each row's score is that of its own table.
+    """
+    rows, n = preds.shape
+    n_gold, n_pred = int(gold.max()) + 1, int(preds.max()) + 1
+    cells = (np.arange(rows)[:, None] * n_gold + gold) * n_pred + preds
+    table = np.bincount(cells.ravel(), minlength=rows * n_gold * n_pred
+                        ).reshape(rows, n_gold, n_pred)
+    sum_a = _pair_sums(table[0].sum(axis=1)).item()
     pairs = n * (n - 1) // 2
-    # Exact integer test for Max == Expected: (sum_a+sum_b)/2 == sum_a*sum_b/pairs.
-    # It holds only when both partitions are all singletons (both sums 0) or
-    # both one cluster (both sums == pairs), so the partitions are identical.
-    if (sum_a + sum_b) * pairs == 2 * sum_a * sum_b:
-        return 1.0
-    expected = sum_a * sum_b / pairs
-    max_index = (sum_a + sum_b) / 2
-    return (index - expected) / (max_index - expected)
+    scores = []
+    for index, sum_b in zip(_pair_sums(table, axis=(1, 2)).tolist(),
+                            _pair_sums(table.sum(axis=1), axis=1).tolist()):
+        # Exact integer test for Max == Expected: (sum_a+sum_b)/2 == sum_a*sum_b/pairs.
+        # It holds only when both partitions are all singletons (both sums 0) or
+        # both one cluster (both sums == pairs), so the partitions are identical.
+        if (sum_a + sum_b) * pairs == 2 * sum_a * sum_b:
+            scores.append(1.0)
+            continue
+        expected = sum_a * sum_b / pairs
+        max_index = (sum_a + sum_b) / 2
+        scores.append((index - expected) / (max_index - expected))
+    return scores
 
 
-def _pair_sum(counts: np.ndarray) -> int:
-    """Sum of c*(c-1)/2 over the counts, as a Python int."""
-    return int((counts * (counts - 1) // 2).sum())
+def _pair_sums(counts: np.ndarray, axis=None) -> np.ndarray:
+    """Sums of c*(c-1)/2 over the counts."""
+    return (counts * (counts - 1) // 2).sum(axis=axis)
 
 
 def ari(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:

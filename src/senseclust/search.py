@@ -1,14 +1,17 @@
 """Deterministic joint grid search over weighting powers and clustering
 hyperparameters, with heatmap and linkage-sweep exports.
 
-Each context's power-independent terms (embedding rows, tf-idf and
-chi-square values) are built once. The power step raises each value once
-per distinct exponent, so each power pair pays only for one weight product
-and one weighted average. Each word's merge sequence is replayed once for
-the whole cluster-count grid, and each config is scored on integer-coded
-labels against gold senses coded once. Results are ranked by train ARI
-descending with ties broken by ascending config serialization, which makes
-the search output independent of evaluation order and of the worker count.
+The search runs one task per word with gold senses; words without them are
+never clustered. A task builds each context's power-independent terms
+(embedding rows, tf-idf and chi-square values) once, and its power step
+gives the context's vectors under every power pair as stacked matmuls. Per
+power pair it computes one Gram product, from which every distance matrix
+and affinity propagation's similarities come. Each merge sequence is
+replayed once for the whole cluster-count grid, and all its cuts are scored
+against the gold senses with one contingency table. A config's train ARI
+combines the per-word scores in gold word order, so it is the same float
+for any worker count. Results are ranked by train ARI descending with ties
+broken by ascending config serialization.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import (LINKAGES, ClusteringConfig, affinity_propagation, cut_merges_at,
-                      dendrogram)
+from .cluster import (LINKAGES, ClusteringConfig, cut_merges_at, gram_distances,
+                      gram_matrix, merge_sequence, propagate)
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
 from .errors import DataError, line_message, read_lines
-from .evaluate import ari_codes, gold_codes, weighted_ari
-from .vectorize import vectorize_configs
+from .evaluate import ari_codes, ari_rows, gold_codes, weighted_ari
+from .vectorize import vectorize_word
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
 
 AUTO_PREFERENCE = "auto"
@@ -98,11 +101,14 @@ class SearchSpace:
         if repeated:
             raise ValueError(f"{name} repeats {repeated[0]!r}")
 
-    def configs(self) -> list[tuple[WeightingConfig, ClusteringConfig]]:
-        """Every (weighting, clustering) pair of the space, power pair major;
-        an agglomerative config stands for every k in ``k_grid``."""
-        weightings = [WeightingConfig(p_tfidf=pt, p_chi2=pc)
-                      for pt in self.power_grid for pc in self.power_grid]
+    def weightings(self) -> list[WeightingConfig]:
+        """Every power pair of the space, p_tfidf major."""
+        return [WeightingConfig(p_tfidf=pt, p_chi2=pc)
+                for pt in self.power_grid for pc in self.power_grid]
+
+    def clusterings(self) -> list[ClusteringConfig]:
+        """The clustering configs searched under each power pair, agglomerative
+        first; an agglomerative config stands for every k in ``k_grid``."""
         clusterings = []
         if "agglomerative" in self.algorithms:
             clusterings += [ClusteringConfig(linkage=lk, metric=m)
@@ -112,12 +118,17 @@ class SearchSpace:
             clusterings += [ClusteringConfig(algorithm="affinity_propagation", damping=d,
                                              preference=parse_preference(p))
                             for d in self.damping_grid for p in self.preference_grid]
-        return [(w, c) for w in weightings for c in clusterings]
+        return clusterings
+
+    def configs(self) -> list[tuple[ClusteringConfig, WeightingConfig]]:
+        """Every configuration, power pair major, then clustering config, then k."""
+        return [(replace(c, n_clusters=k), w) if c.algorithm == "agglomerative" else (c, w)
+                for w in self.weightings() for c in self.clusterings()
+                for k in (self.k_grid if c.algorithm == "agglomerative" else [None])]
 
     def size(self) -> int:
         """Number of valid configurations (per-algorithm spaces summed)."""
-        return sum(len(self.k_grid) if c.algorithm == "agglomerative" else 1
-                   for _, c in self.configs())
+        return len(self.configs())
 
 
 class SearchEntry(NamedTuple):
@@ -164,31 +175,36 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     gold = gold_codes(dataset)
     if not gold:
         raise ValueError("grid search needs gold senses in the dataset")
-    powers = [(pt, pc) for pt in space.power_grid for pc in space.power_grid]
-    vectors = dict(zip(powers, vectorize_configs(
-        dataset, model, idf, chi2,
-        [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt, pc in powers])))
+    weightings, clusterings = space.weightings(), space.clusterings()
 
-    def score(labels_by_word: dict[str, np.ndarray]) -> float:
-        return weighted_ari((ari_codes(codes, labels_by_word[w][keep]), len(codes))
-                            for w, (keep, codes) in gold.items())
+    def score_word(word: str) -> list[float]:
+        """The word's ARI under every config, in ``space.configs()`` order."""
+        keep, codes = gold[word]
+        scores: list[float] = []
+        for X in vectorize_word(dataset, word, model, idf, chi2, weightings):
+            ks = [min(k, len(X)) for k in space.k_grid]
+            gram, similarities = gram_matrix(X), None
+            for ccfg in clusterings:
+                if ccfg.algorithm == "agglomerative":
+                    metric = "sqeuclidean" if ccfg.linkage == "ward" else ccfg.metric
+                    # One merge sequence, replayed once for the whole k grid. The
+                    # distances are not named, so they do not outlive it.
+                    merges = merge_sequence(gram_distances(X, gram, metric), ccfg.linkage)
+                    cuts = cut_merges_at(merges, len(X), ks)
+                    scores += ari_rows(codes, np.stack(cuts)[:, keep])
+                else:
+                    if similarities is None:  # in gram's buffer: AP configs come last
+                        similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),
+                                                   out=gram)
+                    labels = propagate(similarities, ccfg).labels
+                    scores.append(ari_codes(codes, labels[keep]))
+        return scores
 
-    def run_task(task: tuple[WeightingConfig, ClusteringConfig]) -> list[SearchEntry]:
-        wcfg, ccfg = task
-        by_word = vectors[(wcfg.p_tfidf, wcfg.p_chi2)]
-        if ccfg.algorithm == "affinity_propagation":
-            labels = {w: affinity_propagation(X, ccfg).labels
-                      for w, (_, X) in by_word.items()}
-            return [SearchEntry(ccfg, wcfg, score(labels))]
-        # One merge sequence per word, replayed once for the whole k grid.
-        cuts = {w: cut_merges_at(dendrogram(X, ccfg.linkage, ccfg.metric), len(X),
-                                 [min(k, len(X)) for k in space.k_grid])
-                for w, (_, X) in by_word.items()}
-        return [SearchEntry(replace(ccfg, n_clusters=k), wcfg,
-                            score({w: labels[i] for w, labels in cuts.items()}))
-                for i, k in enumerate(space.k_grid)]
-
-    ranked = [e for chunk in parallel_map(run_task, space.configs(), jobs) for e in chunk]
+    sizes = [len(codes) for _, codes in gold.values()]
+    # Every train ARI sums its per-word scores in gold word order.
+    per_word = parallel_map(score_word, list(gold), jobs)
+    ranked = [SearchEntry(ccfg, wcfg, weighted_ari(zip(scores, sizes)))
+              for (ccfg, wcfg), scores in zip(space.configs(), zip(*per_word))]
     ranked.sort(key=lambda e: (-e.train_ari,
                                serialize_config(e.clustering, e.weighting)))
     if len(ranked) != space.size():

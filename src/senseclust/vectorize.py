@@ -8,9 +8,9 @@ sum of (unnormalized) embeddings is taken, and the result is L2-normalized.
 Only the power weight depends on the weighting config, so vectorizing is
 split in two: ``context_terms`` (embedding rows, tf-idf and chi-square of
 ``ContextInstance.kept``, built once per context) and ``power_step`` (each
-value raised once per distinct exponent, then one weight product and average
-per config). ``vectorize``, ``vectorize_dataset`` and ``vectorize_configs``
-all take this one path.
+value raised once per distinct exponent, then the weighted averages of all
+configs as stacked matmuls). ``vectorize``, ``vectorize_word`` and
+``vectorize_dataset`` all take this one path.
 """
 
 from __future__ import annotations
@@ -86,26 +86,29 @@ def context_terms(instance: ContextInstance, model: EmbeddingModel, idf: IdfTabl
 
 
 def power_step(terms: ContextTerms, model: EmbeddingModel,
-               cfgs: Sequence[WeightingConfig]) -> list[ContextVector]:
-    """One context's vector under each config.
+               cfgs: Sequence[WeightingConfig]) -> np.ndarray:
+    """One context's vector under each config, as the rows of a
+    ``(len(cfgs), dim)`` array.
 
     Each tf-idf and chi-square value is raised once per distinct exponent;
-    a config's weights are then one product. An all-OOV, all-excluded, or
-    exactly cancelling context yields the zero vector with n_contributing = 0.
+    a config's weights are then one product. Row b is
+    ``weighted_unit_average(X, weights_b, dim)`` bit for bit: the stacked
+    matmuls run one ddot per norm and one gemv per average, as the
+    single-config calls do. An all-OOV, all-excluded, or exactly cancelling
+    context yields the zero vector.
     """
-    tfidf = {p: np.array([power(x, p) for x in terms.tfidf])
-             for p in {cfg.p_tfidf for cfg in cfgs}}
-    chi2 = {p: np.array([power(x, p) for x in terms.chi2])
-            for p in {cfg.p_chi2 for cfg in cfgs}}
+    tfidf = {p: np.array(power(terms.tfidf, p)) for p in {cfg.p_tfidf for cfg in cfgs}}
+    chi2 = {p: np.array(power(terms.chi2, p)) for p in {cfg.p_chi2 for cfg in cfgs}}
+    W = np.array([tfidf[cfg.p_tfidf] * chi2[cfg.p_chi2] for cfg in cfgs]
+                 ).reshape(len(cfgs), 1, len(terms.rows))
     X = model.vectors[terms.rows].astype(np.float64)
-    out = []
-    for cfg in cfgs:
-        weights = tfidf[cfg.p_tfidf] * chi2[cfg.p_chi2]
-        v = weighted_unit_average(X, weights, model.dim)
-        # An exactly cancelling sum counts like an empty context.
-        n_contributing = int(np.count_nonzero(weights > 0)) if v.any() else 0
-        out.append(ContextVector(terms.context_id, v, n_contributing))
-    return out
+    # A zero norm (all weights 0, or so small that their squares underflow)
+    # leaves its row +0.0, and so does an average that cancels exactly.
+    wnorm = np.sqrt(W @ W.transpose(0, 2, 1))
+    V = np.divide(W, wnorm, out=np.zeros_like(W), where=wnorm > 0.0) @ X
+    vnorm = np.sqrt(V @ V.transpose(0, 2, 1))
+    V = np.divide(V, vnorm, out=np.zeros_like(V), where=vnorm > 0.0)
+    return V.reshape(len(cfgs), model.dim)
 
 
 def vectorize(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
@@ -116,27 +119,23 @@ def vectorize(instance: ContextInstance, model: EmbeddingModel, idf: IdfTable,
     contribute once per occurrence, each occurrence carrying the token's
     tf-idf/chi-square combined weight.
     """
-    return power_step(context_terms(instance, model, idf, chi2), model, [cfg])[0]
+    terms = context_terms(instance, model, idf, chi2)
+    v = power_step(terms, model, [cfg])[0]
+    # An exactly cancelling sum counts like an empty context.
+    weights = np.multiply(power(terms.tfidf, cfg.p_tfidf), power(terms.chi2, cfg.p_chi2))
+    n_contributing = int(np.count_nonzero(weights > 0)) if v.any() else 0
+    return ContextVector(instance.context_id, v, n_contributing)
 
 
-def vectorize_configs(dataset, model: EmbeddingModel, idf: IdfTable, chi2: Chi2Table,
-                      cfgs: Sequence[WeightingConfig]
-                      ) -> list[dict[str, tuple[list[str], np.ndarray]]]:
-    """``vectorize_dataset`` for each config, building every context's terms once.
-
-    Terms are built one context at a time and every config's power step is
-    applied to them before the next context.
-    """
-    out: list[dict] = [{} for _ in cfgs]
-    for word, idxs in dataset.by_target.items():
-        ids = [dataset.instances[i].context_id for i in idxs]
-        mats = [np.empty((len(idxs), model.dim)) for _ in cfgs]
-        for r, i in enumerate(idxs):
-            terms = context_terms(dataset.instances[i], model, idf, chi2)
-            for X, cv in zip(mats, power_step(terms, model, cfgs)):
-                X[r] = cv.v
-        for by_word, X in zip(out, mats):
-            by_word[word] = (ids, X)
+def vectorize_word(dataset, word: str, model: EmbeddingModel, idf: IdfTable,
+                   chi2: Chi2Table, cfgs: Sequence[WeightingConfig]) -> np.ndarray:
+    """The word's context vectors under each config, ``(len(cfgs), n, dim)``,
+    rows in dataset order; each context's terms are built once."""
+    idxs = dataset.by_target[word]
+    out = np.empty((len(cfgs), len(idxs), model.dim))
+    for r, i in enumerate(idxs):
+        out[:, r] = power_step(context_terms(dataset.instances[i], model, idf, chi2),
+                               model, cfgs)
     return out
 
 
@@ -147,7 +146,9 @@ def vectorize_dataset(dataset, model: EmbeddingModel, idf: IdfTable,
 
     Returns word -> (context ids, stacked vectors), rows in dataset order.
     """
-    return vectorize_configs(dataset, model, idf, chi2, [cfg])[0]
+    return {word: ([dataset.instances[i].context_id for i in idxs],
+                   vectorize_word(dataset, word, model, idf, chi2, [cfg])[0])
+            for word, idxs in dataset.by_target.items()}
 
 
 def dump_vectors(rows, path) -> None:

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from senseclust.cluster import (ClusteringConfig, _ap_messages,
-                                _squared_euclidean, affinity_propagation)
+from senseclust.cluster import (ClusteringConfig, _ap_messages, affinity_propagation,
+                                pairwise_distances)
 
 from oracles import partitions_equal, reference_affinity_propagation
 
@@ -165,7 +165,8 @@ def similarities(kind, n=40, seed=0):
     if kind == "random":
         S = -rng.random((n, n)) * 10.0
     else:
-        S = -_squared_euclidean(rng.integers(0, 4, size=(n, 2)).astype(float))
+        S = -pairwise_distances(rng.integers(0, 4, size=(n, 2)).astype(float),
+                                "sqeuclidean")
     np.fill_diagonal(S, np.median(S[~np.eye(n, dtype=bool)]))
     return S
 

@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from senseclust.cluster import (ClusteringConfig, _squared_euclidean,
-                                agglomerative, cut_merges, cut_merges_at,
-                                dendrogram, pairwise_distances)
+from senseclust.cluster import (ClusteringConfig, agglomerative, cut_merges,
+                                cut_merges_at, dendrogram, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
 
@@ -206,10 +205,7 @@ def masked_dendrogram(points, linkage, metric):
     """The merge loop with Lance-Williams updates gathered and scattered
     through an active mask, as ``dendrogram`` was first written; the
     whole-row kernel must give the same merges and distances bit for bit."""
-    if linkage == "ward":
-        D = _squared_euclidean(points)
-    else:
-        D = pairwise_distances(points, metric)
+    D = pairwise_distances(points, "sqeuclidean" if linkage == "ward" else metric)
     n = D.shape[0]
     np.fill_diagonal(D, np.inf)
     active = np.ones(n, dtype=bool)

@@ -305,6 +305,16 @@ def test_idf_required_for_positive_tfidf_power(workspace):
     assert code == 1
 
 
+def test_flag_rules_are_checked_before_any_input_is_read(workspace, capsys):
+    bad = workspace / "bad.txt"
+    bad.write_text("not a header\n", encoding="utf-8")
+    assert run_cli("cluster", "--embeddings", bad, "--dataset", bad,
+                   "--out", workspace / "x.tsv") == 1
+    assert "--idf is required" in capsys.readouterr().err
+    assert run_cli("mt-label", "--translations", bad, "--dataset", bad) == 1
+    assert "--out is required" in capsys.readouterr().err
+
+
 def test_help_lists_defaults(capsys):
     assert run_cli("cluster", "--help") == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -378,16 +388,17 @@ def test_grid_search_jobs_do_not_change_outputs(workspace, capsys):
         "metrics = euclidean, manhattan, cosine\ndamping_grid = 0.5, 0.9\n",
         encoding="utf-8")
     outputs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         names = [workspace / f"{kind}-{jobs}.csv" for kind in ("ranked", "heat", "sweep")]
-        assert run_cli("grid-search", "--embeddings", workspace / "emb.txt",
-                       "--dataset", workspace / "train.tsv",
-                       "--idf", workspace / "idf.tsv",
-                       "--space", workspace / "space.cfg",
-                       "--out-ranked", names[0], "--out-heatmap", names[1],
-                       "--out-sweep", names[2], "--jobs", jobs) == 0
+        with pytest.warns(UserWarning, match="excluding ward with manhattan, cosine"):
+            assert run_cli("grid-search", "--embeddings", workspace / "emb.txt",
+                           "--dataset", workspace / "train.tsv",
+                           "--idf", workspace / "idf.tsv",
+                           "--space", workspace / "space.cfg",
+                           "--out-ranked", names[0], "--out-heatmap", names[1],
+                           "--out-sweep", names[2], "--jobs", jobs) == 0
         outputs.append([path.read_bytes() for path in names] + [capsys.readouterr().out])
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0][0].splitlines()) == 1 + 4 * (4 * 7) + 4 * 2
 
 

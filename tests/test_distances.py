@@ -1,8 +1,9 @@
 """The distance kernel against the broadcast difference form, written here.
 
-``_squared_euclidean`` is the one squared-euclidean kernel (euclidean
-distances, ward and affinity propagation); it works in Gram form, so its
-values may differ from the difference form in the last bits. Manhattan fills
+``pairwise_distances(X, "sqeuclidean")`` is the one squared-euclidean
+kernel (euclidean distances, ward and affinity propagation); it works in
+Gram form, so its values may differ from the difference form in the last
+bits. Manhattan fills
 the upper triangle one row at a time through one reused buffer and mirrors
 each row into its column; it must equal the difference form bit for bit.
 """
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from senseclust.cluster import METRICS, _squared_euclidean, pairwise_distances
+from senseclust.cluster import METRICS, pairwise_distances
 
 SHAPES = [(1, 4), (2, 3), (7, 5), (40, 200), (120, 200)]
 
@@ -44,7 +45,7 @@ def layouts(X):
 
 
 def kernels(X):
-    out = {"squared": _squared_euclidean(X)}
+    out = {"squared": pairwise_distances(X, "sqeuclidean")}
     out.update((m, pairwise_distances(X, m)) for m in METRICS)
     return out
 
@@ -56,7 +57,8 @@ def test_euclidean_and_ward_match_broadcast_reference(shape):
     X = unit_points(*shape)
     ref = broadcast_squared(X)
     for Y in layouts(X).values():
-        np.testing.assert_allclose(_squared_euclidean(Y), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pairwise_distances(Y, "sqeuclidean"), ref,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(pairwise_distances(Y, "euclidean"),
                                    np.sqrt(ref), rtol=0, atol=1e-12)
 
@@ -111,7 +113,7 @@ def test_zero_vector_row_is_the_row_sum_bitwise():
     row_sums = (X * X).sum(axis=1)
     ref = broadcast_squared(X)
     for Y in layouts(X).values():
-        D = _squared_euclidean(Y)
+        D = pairwise_distances(Y, "sqeuclidean")
         E = pairwise_distances(Y, "euclidean")
         for z in range(0, len(X), 3):
             assert np.array_equal(D[z], row_sums)

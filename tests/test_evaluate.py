@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from senseclust.dataset import ContextInstance, Dataset
-from senseclust.evaluate import (Labeling, ari, ari_codes, confusion_csv,
+from senseclust.evaluate import (Labeling, ari, ari_codes, ari_rows, confusion_csv,
                                  confusion_matrix, evaluate)
 
 from oracles import pair_counting_ari
@@ -144,6 +144,37 @@ def test_integer_kernel_degenerate_cases():
         assert abs(ari(gold, pred) - pair_counting_ari(gold, pred)) <= 1e-12
     assert ari_codes(np.array([4, 4, 4]), np.array([0, 0, 0])) == 1.0
     assert ari_codes(np.array([0, 3, 6]), np.array([5, 1, 2])) == 1.0
+
+
+CODES = st.sampled_from([0, 2, 9, 40])  # non-contiguous
+
+
+@st.composite
+def labeling_rows(draw):
+    """Gold codes and a stack of predicted rows: arbitrary non-contiguous
+    codes, all singletons, and one cluster."""
+    n = draw(st.integers(1, 30))
+    gold = draw(st.lists(CODES, min_size=n, max_size=n))
+    kinds = st.sampled_from(["codes", "singletons", "one"])
+    rows = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "codes":
+            rows.append(draw(st.lists(CODES, min_size=n, max_size=n)))
+        elif kind == "singletons":
+            rows.append([3 * i + 1 for i in draw(st.permutations(range(n)))])
+        else:
+            rows.append([draw(CODES)] * n)
+    return np.array(gold), np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeling_rows())
+def test_batched_ari_equals_the_one_row_kernel_row_by_row(problem):
+    gold, preds = problem
+    scores = ari_rows(gold, preds)
+    assert len(scores) == len(preds)
+    for score, pred in zip(scores, preds):
+        assert score == ari_codes(gold, pred) == counter_ari(list(gold), list(pred))
 
 
 # --- evaluate --------------------------------------------------------------

@@ -5,13 +5,15 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from senseclust.cluster import ClusteringConfig, agglomerative, cluster
+from senseclust import search as search_module
+from senseclust.cluster import ClusteringConfig, agglomerative, cluster, gram_matrix
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.errors import DataError
 from senseclust.evaluate import Labeling, evaluate
 from senseclust.search import (SearchSpace, export_k_linkage_sweep,
-                               export_power_heatmap, grid_search, parallel_map,
-                               parse_space_file, serialize_config)
+                               export_power_heatmap, grid_search, heatmap_csv,
+                               parallel_map, parse_space_file, ranked_csv,
+                               serialize_config, sweep_csv)
 from senseclust.weighting import WeightingConfig, build_chi2
 
 import synthetic
@@ -29,10 +31,11 @@ def small_problem(tmp_path_factory):
 
 
 def test_space_size_counts_ward_exclusions():
-    space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2, 3),
-                        linkages=("ward", "average"),
-                        metrics=("euclidean", "cosine"),
-                        algorithms=("agglomerative",))
+    with pytest.warns(UserWarning, match="excluding ward with cosine"):
+        space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2, 3),
+                            linkages=("ward", "average"),
+                            metrics=("euclidean", "cosine"),
+                            algorithms=("agglomerative",))
     # ward pairs only with euclidean: 1 + 2 = 3 linkage-metric pairs
     assert space.size() == 4 * 2 * 3
 
@@ -180,6 +183,69 @@ def test_jobs_do_not_change_output(small_problem):
     assert serial.ranked == parallel.ranked
 
 
+def _mixed_words_dataset(extra_words=True):
+    """Two gold words of 6 contexts; with ``extra_words``, also a word of 5
+    contexts without gold senses and a gold word of one context."""
+    rng = np.random.default_rng(6)
+    model = synthetic.model_from_entries({f"w{i}": rng.normal(size=4) for i in range(10)})
+    words = [("замок", 6, True), ("банка", 6, True)]
+    if extra_words:
+        words += [("ключ", 5, False), ("лук", 1, True)]
+    instances, by_target = [], {}
+    for target, n, has_gold in words:
+        for i in range(n):
+            tokens = [f"w{int(j)}" for j in rng.integers(0, 10, size=5)]
+            by_target.setdefault(target, []).append(len(instances))
+            instances.append(ContextInstance(
+                context_id=f"{target}{i}", target=target,
+                gold_sense=str(i % 3) if has_gold else None, target_spans=[],
+                raw_context=" ".join(tokens)))
+    return Dataset(instances=instances, by_target=by_target), model
+
+
+def _search_csvs(dataset, model, chi2, jobs):
+    result = grid_search(dataset, model, synthetic.build_background_idf(seed=3), chi2,
+                         SearchSpace(), jobs=jobs)
+    return (ranked_csv(result), heatmap_csv(export_power_heatmap(result)),
+            sweep_csv(export_k_linkage_sweep(result)))
+
+
+@pytest.fixture()
+def gram_sizes(monkeypatch):
+    """The point count of each Gram product the search takes."""
+    sizes = []
+
+    def counting(X):
+        sizes.append(len(X))
+        return gram_matrix(X)
+
+    monkeypatch.setattr(search_module, "gram_matrix", counting)
+    return sizes
+
+
+def test_one_gram_product_per_gold_word_and_power_pair(gram_sizes):
+    dataset, model = _mixed_words_dataset(extra_words=False)
+    _search_csvs(dataset, model, build_chi2(dataset), jobs=1)
+    assert gram_sizes == [6] * 2 * 36
+
+
+def test_words_without_gold_senses_are_never_clustered(gram_sizes):
+    dataset, model = _mixed_words_dataset()
+    chi2 = build_chi2(dataset)
+    with_extra = _search_csvs(dataset, model, chi2, jobs=1)
+    assert sorted(gram_sizes) == [1] * 36 + [6] * 2 * 36  # never the 5 of "ключ"
+    # Dropping the word changes nothing; the same chi2 table isolates the search.
+    del dataset.by_target["ключ"]
+    assert _search_csvs(dataset, model, chi2, jobs=1)[0] == with_extra[0]
+
+
+def test_jobs_do_not_change_output_with_ungraded_and_one_context_words():
+    dataset, model = _mixed_words_dataset()
+    chi2 = build_chi2(dataset)
+    outputs = [_search_csvs(dataset, model, chi2, jobs) for jobs in (1, 2, 3)]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_concurrent_searches_leave_the_warning_filters_alone(small_problem):
     space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2,), linkages=("average",),
                         algorithms=("agglomerative",))
@@ -191,7 +257,7 @@ def test_concurrent_searches_leave_the_warning_filters_alone(small_problem):
 
     parallel_map(rounds, range(4), jobs=4)
     assert warnings.filters == before
-    with warnings.catch_warnings(record=True) as caught:
+    with pytest.warns(UserWarning) as caught:
         warnings.warn("still recorded")
     assert [str(w.message) for w in caught] == ["still recorded"]
 

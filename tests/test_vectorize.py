@@ -15,7 +15,7 @@ import senseclust.text as text_module
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.search import SearchSpace, grid_search
 from senseclust.text import exclude_target, matches_target_form, normalize_token
-from senseclust.vectorize import (vectorize, vectorize_configs, vectorize_dataset,
+from senseclust.vectorize import (vectorize, vectorize_dataset, vectorize_word,
                                   weighted_unit_average)
 from senseclust.weighting import (POWER_GRID, Chi2Table, IdfTable, WeightingConfig,
                                   build_chi2, combine, read_chi2_tsv, read_idf_tsv,
@@ -274,9 +274,10 @@ def reference_vector(instance, model, idf, chi2, cfg):
 VOCAB = ("w0", "w1", "w2", "w3", "w4", "w5")
 TARGETS = ("банка", "замок")
 # Contexts every drawn dataset also holds: all-OOV, all-excluded (target
-# forms only), repeats plus OOV, and a token whose chi2 is 0.
+# forms only), repeats plus OOV, a token whose chi2 is 0, and two opposite
+# vectors that cancel exactly when p_chi2 = 0 (equal tf-idf, chi2 1 and 2.75).
 FIXED_CONTEXTS = (["oov0", "oov1"], ["банка", "банки", "банках"],
-                  ["w0", "w0", "w1", "oov0", "w0"], ["w5", "w1"], [])
+                  ["w0", "w0", "w1", "oov0", "w0"], ["w5", "w1"], [], ["u0", "u1"])
 
 
 @st.composite
@@ -285,12 +286,14 @@ def vectorize_problems(draw):
     component = st.sampled_from([-2.5, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0])
     vectors = draw(st.lists(st.lists(component, min_size=dim, max_size=dim),
                             min_size=len(VOCAB), max_size=len(VOCAB)))
-    model = synthetic.model_from_entries(dict(zip(VOCAB, vectors)))
+    model = synthetic.model_from_entries(dict(zip(VOCAB, vectors),
+                                              u0=[1.0] * dim, u1=[-1.0] * dim))
     n_docs = draw(st.integers(1, 50))
     idf = IdfTable(n_docs=n_docs, df={w: draw(st.integers(0, n_docs)) for w in VOCAB})
     # w5 is never given a chi2 value, so it reads 0 for every target.
     chi2 = Chi2Table(values={(t, w): draw(st.sampled_from([0.0, 0.5, 1.0, 2.75, 40.0]))
-                             for t in TARGETS for w in VOCAB[:-1]})
+                             for t in TARGETS for w in VOCAB[:-1]}
+                     | {("банка", "u0"): 1.0, ("банка", "u1"): 2.75})
     token = st.sampled_from(VOCAB + ("oov0", "oov1", "банка", "банки", "замка"))
     drawn = draw(st.lists(st.tuples(st.sampled_from(TARGETS),
                                     st.lists(token, max_size=9)), max_size=6))
@@ -329,12 +332,13 @@ def test_split_vectorizer_is_bitwise_equal_to_reference(problem):
     cfgs = [WeightingConfig(p_tfidf=pt, p_chi2=pc) for pt in POWER_GRID for pc in POWER_GRID]
     cfgs.append(WeightingConfig(p_tfidf=1.5, p_chi2=0.0))
     random.Random(len(dataset.instances)).shuffle(cfgs)
-    outs = vectorize_configs(dataset, model, idf, chi2, cfgs)
-    for cfg, by_word in zip(cfgs, outs):
-        assert list(by_word) == list(dataset.by_target)
-        for word, idxs in dataset.by_target.items():
-            ids, X = by_word[word]
-            assert ids == [dataset.instances[i].context_id for i in idxs]
+    cancelling = dataset.instances[len(FIXED_CONTEXTS) - 1]
+    for cfg in cfgs:
+        assert reference_vector(cancelling, model, idf, chi2, cfg)[1] == (2 if cfg.p_chi2 else 0)
+    for word, idxs in dataset.by_target.items():
+        stack = vectorize_word(dataset, word, model, idf, chi2, cfgs)
+        assert stack.shape == (len(cfgs), len(idxs), model.dim)
+        for cfg, X in zip(cfgs, stack):
             ref = [reference_vector(dataset.instances[i], model, idf, chi2, cfg)[0]
                    for i in idxs]
             assert np.array_equal(X, np.vstack(ref)), cfg
