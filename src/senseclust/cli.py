@@ -51,15 +51,17 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
                    help="chi2 cache TSV from build-chi2 (default: computed from the dataset)")
 
 
-def _jobs(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _at_least(low: int):
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {number}")
+        return number
+    return integer
 
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel workers across words/configurations (default: 1)")
 
 
@@ -147,11 +149,11 @@ def build_parser() -> _Parser:
                    help="embedding file format (default: text)")
     p.add_argument("--freqs", type=Path, required=True,
                    help="word<TAB>count frequency TSV")
-    p.add_argument("--sample-size", type=int, default=1000,
+    p.add_argument("--sample-size", type=_at_least(1), default=1000,
                    help="words to sample (default: 1000)")
     p.add_argument("--out", type=Path, default=None,
                    help="output TSV (default: standard output)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="random seed (default: 0)")
     p.set_defaults(func=cmd_norm_report)
 
     p = sub.add_parser("mt-label", help="label contexts by majority translation")

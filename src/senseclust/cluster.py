@@ -7,7 +7,7 @@ oscillation-breaking jitter is a fixed function of the point indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -136,26 +136,19 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     sees the same operands as on the full matrix, and merges are recorded in
     original indices: the result is bitwise that of the full-matrix loop.
     """
-    if linkage not in LINKAGES:
-        raise ValueError(f"unknown linkage {linkage!r}")
-    if linkage == "ward" and metric != "euclidean":
-        raise ValueError("ward linkage requires the euclidean metric")
-    return merge_sequence(pairwise_distances(
-        points, "sqeuclidean" if linkage == "ward" else metric), linkage)
+    cfg = ClusteringConfig(linkage=linkage, metric=metric, n_clusters=1)
+    return cluster_points(points, [cfg])[0].merge_trace
 
 
 def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
     """``dendrogram``'s merges from its distance matrix D, which is consumed:
     squared euclidean for ward, the linkage's metric otherwise."""
-    n = D.shape[0]
-    if n == 0:
-        raise ValueError("no points to cluster")
+    m = D.shape[0]
     np.fill_diagonal(D, np.inf)
-    sizes = np.ones(n, dtype=np.int64)
-    slot = list(range(n))  # original index of each row, ascending
-    m = n
+    sizes = np.ones(m, dtype=np.int64)
+    slot = list(range(m))  # original index of each row, ascending
     merges: list[tuple[int, int, float]] = []
-    for active in range(n, 1, -1):
+    for active in range(m, 1, -1):
         if m >= _REBUILD_FLOOR and 4 * (m - active) >= m:
             keep = np.flatnonzero(sizes)
             D, sizes, m = D[np.ix_(keep, keep)], sizes[keep], active
@@ -224,14 +217,7 @@ def cut_merges_at(merges: list[tuple[int, int, float]], n: int, ks: Sequence[int
 
 def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
     """Bottom-up clustering to cfg.n_clusters clusters (clamped to n)."""
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    n = X.shape[0]
-    k = min(cfg.n_clusters, n)
-    merges = dendrogram(X, cfg.linkage, cfg.metric)
-    labels = cut_merges(merges, n, k)
-    return ClusterResult(labels=labels, k=k, merge_trace=merges[: n - k])
+    return cluster_points(points, [replace(cfg, algorithm="agglomerative")])[0]
 
 
 def _ap_messages(S: np.ndarray, damping: float, max_iter: int, window: int
@@ -314,10 +300,7 @@ def affinity_propagation(points, cfg: ClusteringConfig) -> ClusterResult:
     index-dependent jitter added to break the symmetry; the retry is recorded
     on the result. Non-convergence still yields the final-iteration labeling.
     """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
-    return propagate(-pairwise_distances(X, "sqeuclidean"), cfg)
+    return cluster_points(points, [replace(cfg, algorithm="affinity_propagation")])[0]
 
 
 def propagate(S: np.ndarray, cfg: ClusteringConfig) -> ClusterResult:
@@ -352,7 +335,38 @@ def propagate(S: np.ndarray, cfg: ClusteringConfig) -> ClusterResult:
 
 
 def cluster(points, cfg: ClusteringConfig) -> ClusterResult:
-    """Dispatch on cfg.algorithm."""
-    if cfg.algorithm == "agglomerative":
-        return agglomerative(points, cfg)
-    return affinity_propagation(points, cfg)
+    """The points clustered by cfg.algorithm."""
+    return cluster_points(points, [cfg])[0]
+
+
+def cluster_points(points, cfgs: Sequence[ClusteringConfig]) -> list[ClusterResult]:
+    """``[cluster(points, cfg) for cfg in cfgs]``, bit for bit: the one place
+    that runs a clustering. Every config but a manhattan one reads one Gram
+    product of the points, taken only if one does. The agglomerative configs
+    of a (linkage, metric) pair share a distance matrix, merge sequence and
+    replay of the merges; each k is clamped to the point count. AP's
+    similarities are built once, in the Gram product's buffer after every
+    merge sequence, whatever the order of cfgs.
+    """
+    X = np.ascontiguousarray(points, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("points must be a non-empty 2-D array")
+    groups: dict[tuple[str, str] | None, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        key = (cfg.linkage, cfg.metric) if cfg.algorithm == "agglomerative" else None
+        groups.setdefault(key, []).append(i)
+    ap_configs = groups.pop(None, [])
+    n, results = len(X), [None] * len(cfgs)
+    gram = gram_matrix(X) if ap_configs or any(m != "manhattan" for _, m in groups) else None
+    for (linkage, metric), members in groups.items():
+        # Unnamed, the distances do not outlive the merge sequence.
+        merges = merge_sequence(gram_distances(
+            X, gram, "sqeuclidean" if linkage == "ward" else metric), linkage)
+        ks = [min(cfgs[i].n_clusters, n) for i in members]
+        for i, k, labels in zip(members, ks, cut_merges_at(merges, n, ks)):
+            results[i] = ClusterResult(labels=labels, k=k, merge_trace=merges[:n - k])
+    if ap_configs:  # similarity is negative squared euclidean distance
+        similarities = np.negative(gram_distances(X, gram, "sqeuclidean"), out=gram)
+        for i in ap_configs:
+            results[i] = propagate(similarities, cfgs[i])
+    return results

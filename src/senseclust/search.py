@@ -5,31 +5,29 @@ The search runs one task per word with gold senses; words without them are
 never clustered. A task builds each context's power-independent terms
 (embedding rows, tf-idf and chi-square values) once, and its power step
 gives the context's vectors under every power pair as stacked matmuls. Per
-power pair it computes one Gram product, from which every distance matrix
-and affinity propagation's similarities come. Each merge sequence is
-replayed once for the whole cluster-count grid, and all its cuts are scored
-against the gold senses with one contingency table. A config's train ARI
-combines the per-word scores in gold word order, so it is the same float
-for any worker count. Results are ranked by train ARI descending with ties
-broken by ascending config serialization.
+power pair, ``cluster.cluster_points``, the routine behind ``cluster``,
+runs every clustering config from one Gram product, and all the labelings
+are scored against the gold senses with one contingency table. A config's
+train ARI combines the per-word scores in gold word order, so it is the
+same float for any worker count. Results are ranked by train ARI
+descending with ties broken by ascending config serialization.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent import futures
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import (LINKAGES, ClusteringConfig, cut_merges_at, gram_distances,
-                      gram_matrix, merge_sequence, propagate)
+from .cluster import LINKAGES, ClusteringConfig, cluster_points
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
 from .errors import DataError, line_message, read_lines
-from .evaluate import ari_codes, ari_rows, gold_codes, weighted_ari
+from .evaluate import ari_rows, gold_codes, weighted_ari
 from .vectorize import vectorize_word
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
 
@@ -108,12 +106,12 @@ class SearchSpace:
 
     def clusterings(self) -> list[ClusteringConfig]:
         """The clustering configs searched under each power pair, agglomerative
-        first; an agglomerative config stands for every k in ``k_grid``."""
+        first, by linkage, then metric, then k."""
         clusterings = []
         if "agglomerative" in self.algorithms:
-            clusterings += [ClusteringConfig(linkage=lk, metric=m)
+            clusterings += [ClusteringConfig(linkage=lk, metric=m, n_clusters=k)
                             for lk in self.linkages for m in self.metrics
-                            if lk != "ward" or m == "euclidean"]
+                            if lk != "ward" or m == "euclidean" for k in self.k_grid]
         if "affinity_propagation" in self.algorithms:
             clusterings += [ClusteringConfig(algorithm="affinity_propagation", damping=d,
                                              preference=parse_preference(p))
@@ -121,10 +119,8 @@ class SearchSpace:
         return clusterings
 
     def configs(self) -> list[tuple[ClusteringConfig, WeightingConfig]]:
-        """Every configuration, power pair major, then clustering config, then k."""
-        return [(replace(c, n_clusters=k), w) if c.algorithm == "agglomerative" else (c, w)
-                for w in self.weightings() for c in self.clusterings()
-                for k in (self.k_grid if c.algorithm == "agglomerative" else [None])]
+        """Every configuration, power pair major, then clustering config."""
+        return [(c, w) for w in self.weightings() for c in self.clusterings()]
 
     def size(self) -> int:
         """Number of valid configurations (per-algorithm spaces summed)."""
@@ -182,22 +178,8 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
         keep, codes = gold[word]
         scores: list[float] = []
         for X in vectorize_word(dataset, word, model, idf, chi2, weightings):
-            ks = [min(k, len(X)) for k in space.k_grid]
-            gram, similarities = gram_matrix(X), None
-            for ccfg in clusterings:
-                if ccfg.algorithm == "agglomerative":
-                    metric = "sqeuclidean" if ccfg.linkage == "ward" else ccfg.metric
-                    # One merge sequence, replayed once for the whole k grid. The
-                    # distances are not named, so they do not outlive it.
-                    merges = merge_sequence(gram_distances(X, gram, metric), ccfg.linkage)
-                    cuts = cut_merges_at(merges, len(X), ks)
-                    scores += ari_rows(codes, np.stack(cuts)[:, keep])
-                else:
-                    if similarities is None:  # in gram's buffer: AP configs come last
-                        similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),
-                                                   out=gram)
-                    labels = propagate(similarities, ccfg).labels
-                    scores.append(ari_codes(codes, labels[keep]))
+            labels = np.stack([r.labels for r in cluster_points(X, clusterings)])
+            scores += ari_rows(codes, labels[:, keep])
         return scores
 
     sizes = [len(codes) for _, codes in gold.values()]
@@ -297,6 +279,8 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                             lo, hi = (int(end) for end in v.split(".."))
                             for end in (lo, hi):  # before expanding the range
                                 ClusteringConfig(n_clusters=end)
+                            if lo > hi:
+                                raise ValueError("reversed range")
                             ks.extend(range(lo, hi + 1))
                         else:
                             ks.append(int(v))

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from senseclust.cluster import (ClusteringConfig, agglomerative, cut_merges,
-                                cut_merges_at, dendrogram, pairwise_distances)
+from senseclust.cluster import (ClusteringConfig, agglomerative, cluster,
+                                cluster_points, cut_merges, cut_merges_at,
+                                dendrogram, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
 
@@ -58,6 +59,39 @@ def test_k_clamped_without_warning():
         warnings.simplefilter("error")
         res = agglomerative(pts, cfg(10))
     assert res.k == 3
+
+
+def test_cluster_points_equals_one_cluster_call_per_config():
+    # AP configs come first and the linkages interleave, so AP's similarities
+    # must wait for every merge sequence to have read the Gram product. k = 9
+    # exceeds both point counts; the second AP config stops before converging
+    # on tied similarities and retries with jitter.
+    ap = [ClusteringConfig(algorithm="affinity_propagation"),
+          ClusteringConfig(algorithm="affinity_propagation", damping=0.9,
+                           preference=-1.0, max_iter=3)]
+    agg = [cfg(k, linkage, metric) for k in (2, 9)
+           for linkage, metric in ALL_COMBOS[::2] + ALL_COMBOS[1::2]]
+    cfgs = ap + agg
+    X = np.random.default_rng(3).normal(size=(6, 4))
+    X[2] = 0.0  # an all-OOV context
+    X[4] = X[5] = X[1]
+    for points in (X, X[2:3]):
+        before = points.copy()
+        batch = cluster_points(points, cfgs)
+        assert np.array_equal(points, before)
+        assert len(batch) == len(cfgs)
+        for config, got in zip(cfgs, batch):
+            want = cluster(points, config)
+            assert got.labels.dtype == want.labels.dtype
+            assert np.array_equal(got.labels, want.labels), config
+            assert got.k == want.k
+            assert got.merge_trace == want.merge_trace
+            assert got.exemplars == want.exemplars
+            assert got.converged == want.converged
+            assert got.jitter_applied == want.jitter_applied
+        assert batch[1].jitter_applied is (len(points) > 1)
+        assert [r.k for r in batch[len(ap):]] == [min(c.n_clusters, len(points))
+                                                  for c in agg]
 
 
 def test_single_point():

@@ -313,6 +313,11 @@ def test_flag_rules_are_checked_before_any_input_is_read(workspace, capsys):
     assert "--idf is required" in capsys.readouterr().err
     assert run_cli("mt-label", "--translations", bad, "--dataset", bad) == 1
     assert "--out is required" in capsys.readouterr().err
+    for flag, value, rule in (("--sample-size", "0", "at least 1, got 0"),
+                              ("--seed", "-1", "at least 0, got -1")):
+        assert run_cli("norm-report", "--embeddings", bad, "--freqs", bad,
+                       flag, value) == 1
+        assert f"argument {flag}: must be {rule}" in capsys.readouterr().err
 
 
 def test_help_lists_defaults(capsys):

@@ -1,8 +1,9 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens an input file for reading (numpy's
-file readers count), no module raises powers with numpy, and no module
-changes the process-wide warning filters."""
+file readers count), only ``cluster.py`` calls the clustering kernels, no
+module raises powers with numpy, and no module changes the process-wide
+warning filters."""
 
 import ast
 import subprocess
@@ -57,10 +58,15 @@ print("\\n".join(failed))
 NUMPY_READERS = ("loadtxt", "fromfile", "genfromtxt", "memmap")
 
 
+def _called_name(call: ast.Call) -> str | None:
+    """``f`` for a call of ``f(...)`` or ``x.f(...)``."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def _file_read(call: ast.Call) -> str | None:
     """The called name if the call reads a file: ``open``/``x.open`` without a
     write mode, ``x.read_text``, ``x.read_bytes`` or a numpy reader."""
-    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    name = _called_name(call)
     if name in ("read_text", "read_bytes") + NUMPY_READERS:
         return name
     if name != "open":
@@ -122,6 +128,26 @@ def test_no_module_changes_the_warning_filters():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno} {name}()"
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
-                      and (name := getattr(node.func, "id", None)
-                           or getattr(node.func, "attr", None)) in WARNING_FILTER_CALLS]
+                      and (name := _called_name(node)) in WARNING_FILTER_CALLS]
+    assert offenders == []
+
+
+# What ``cluster.cluster_points`` runs a clustering with.
+CLUSTERING_KERNELS = ("gram_matrix", "gram_distances", "merge_sequence",
+                      "cut_merges_at", "propagate")
+
+
+def test_only_the_cluster_module_calls_the_clustering_kernels():
+    # ``cluster_points`` is the one dispatch on the algorithm and states each
+    # clustering rule once: ward on squared euclidean distances, AP on their
+    # negatives, k clamped to the point count. A kernel called elsewhere
+    # would state them a second time.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cluster.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {name}()"
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and (name := _called_name(node)) in CLUSTERING_KERNELS]
     assert offenders == []

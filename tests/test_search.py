@@ -1,3 +1,4 @@
+import importlib
 import re
 import warnings
 from concurrent import futures
@@ -5,7 +6,6 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from senseclust import search as search_module
 from senseclust.cluster import ClusteringConfig, agglomerative, cluster, gram_matrix
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.errors import DataError
@@ -219,7 +219,10 @@ def gram_sizes(monkeypatch):
         sizes.append(len(X))
         return gram_matrix(X)
 
-    monkeypatch.setattr(search_module, "gram_matrix", counting)
+    # ``senseclust.cluster`` is the package's ``cluster()`` function, which
+    # shadows the submodule of the same name.
+    cluster_module = importlib.import_module("senseclust.cluster")
+    monkeypatch.setattr(cluster_module, "gram_matrix", counting)
     return sizes
 
 
@@ -388,6 +391,7 @@ def test_parse_space_file(tmp_path):
                            "line 3: unknown linkage 'wardd'"),
                           ("power_grid = 1, 3\n", "line 1: p_tfidf must be in [0, 2.5], got 3.0"),
                           ("damping_grid = 0.5, 1\n", "line 1: damping must be in [0.5, 1)"),
+                          ("k_grid = 5..3, 7\n", "line 1: bad k_grid value '5..3, 7'"),
                           ("k_grid = 2\nlinkages = ward\nk_grid = 3\n",
                            "line 3: repeated key 'k_grid'"),
                           # rules across grids keep the file-level form
