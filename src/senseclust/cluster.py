@@ -8,7 +8,7 @@ oscillation-breaking jitter is a fixed function of the point indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,14 +72,17 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     ``metric`` is one of METRICS, or "sqeuclidean" for the squared euclidean
     distances that ward and affinity propagation use. Cosine distance is
     1 - cos(x, y); a zero vector is at distance 1 from every other point.
+    Equal non-zero points have equal rows and lie at exactly 0 from each
+    other.
     """
     X = np.ascontiguousarray(points, dtype=np.float64)
     return gram_distances(X, None if metric == "manhattan" else gram_matrix(X), metric)
 
 
 def gram_matrix(X: np.ndarray) -> np.ndarray:
-    """``X @ X.T``, the one matrix product behind every metric but manhattan."""
-    return X @ X.T
+    """``X @ X.T`` of a point set, or of each point set of a stack: the one
+    matrix product behind every metric but manhattan."""
+    return X @ np.swapaxes(X, -1, -2)
 
 
 def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.ndarray:
@@ -96,6 +99,12 @@ def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.nd
             np.abs(diff, out=diff).sum(axis=1, out=D[i, i + 1:])
             D[i + 1:, i] = D[i, i + 1:]
         return D
+    if metric not in ("cosine", "euclidean", "sqeuclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
+    # Squared norms are row sums, not the Gram diagonal: a zero vector then
+    # lies at exactly sq[j] from point j, as in the difference form, so ties
+    # stay ties.
+    sq = (X * X).sum(axis=1)
     if metric == "cosine":
         norms = np.sqrt(np.diag(gram).copy())
         zero = norms == 0.0
@@ -103,19 +112,35 @@ def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.nd
         D = 1.0 - gram / np.outer(safe, safe)
         D[zero, :] = 1.0
         D[:, zero] = 1.0
-        np.fill_diagonal(D, 0.0)
-        return np.maximum(D, 0.0, out=D)
-    if metric not in ("euclidean", "sqeuclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
-    # Squared norms are row sums, not the Gram diagonal: a zero vector then
-    # lies at exactly sq[j] from point j, as in the difference form, so ties
-    # stay ties. Clamped at 0, zero diagonal.
-    sq = (X * X).sum(axis=1)
-    D = np.add.outer(sq, sq)
-    D -= 2.0 * gram
-    np.maximum(D, 0.0, out=D)
+    else:
+        D = np.add.outer(sq, sq)
+        D -= 2.0 * gram
     np.fill_diagonal(D, 0.0)
+    np.maximum(D, 0.0, out=D)
+    _tie_duplicates(X, sq, D)
     return np.sqrt(D, out=D) if metric == "euclidean" else D
+
+
+def _tie_duplicates(X: np.ndarray, sq: np.ndarray, D: np.ndarray) -> None:
+    """Give each group of equal non-zero rows of X its lowest member's row
+    and column of D, and 0 within the group: the Gram form rounds their
+    distances apart. Equal rows have equal squared norms and row sums, so
+    rows are compared only where both repeat."""
+    sums = X.sum(axis=1)
+    order = np.lexsort((sums, sq))
+    a, b = sq[order], sums[order]
+    repeats = (a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (a[1:] > 0.0)
+    if not repeats.any():
+        return
+    groups: dict[bytes, list[int]] = {}
+    for i in np.union1d(order[:-1][repeats], order[1:][repeats]):
+        groups.setdefault(X[i].tobytes(), []).append(int(i))
+    for group in groups.values():
+        first, rest = group[0], group[1:]
+        if rest:
+            D[rest] = D[first]
+            D[:, rest] = D[:, [first]]
+            D[np.ix_(group, group)] = 0.0
 
 
 def dendrogram(points, linkage: str, metric: str = "euclidean"
@@ -137,7 +162,7 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     original indices: the result is bitwise that of the full-matrix loop.
     """
     cfg = ClusteringConfig(linkage=linkage, metric=metric, n_clusters=1)
-    return cluster_points(points, [cfg])[0].merge_trace
+    return cluster(points, cfg).merge_trace
 
 
 def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
@@ -217,7 +242,7 @@ def cut_merges_at(merges: list[tuple[int, int, float]], n: int, ks: Sequence[int
 
 def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
     """Bottom-up clustering to cfg.n_clusters clusters (clamped to n)."""
-    return cluster_points(points, [replace(cfg, algorithm="agglomerative")])[0]
+    return cluster(points, replace(cfg, algorithm="agglomerative"))
 
 
 def _ap_messages(S: np.ndarray, damping: float, max_iter: int, window: int
@@ -300,7 +325,7 @@ def affinity_propagation(points, cfg: ClusteringConfig) -> ClusterResult:
     index-dependent jitter added to break the symmetry; the retry is recorded
     on the result. Non-convergence still yields the final-iteration labeling.
     """
-    return cluster_points(points, [replace(cfg, algorithm="affinity_propagation")])[0]
+    return cluster(points, replace(cfg, algorithm="affinity_propagation"))
 
 
 def propagate(S: np.ndarray, cfg: ClusteringConfig) -> ClusterResult:
@@ -336,37 +361,51 @@ def propagate(S: np.ndarray, cfg: ClusteringConfig) -> ClusterResult:
 
 def cluster(points, cfg: ClusteringConfig) -> ClusterResult:
     """The points clustered by cfg.algorithm."""
-    return cluster_points(points, [cfg])[0]
+    return next(cluster_points(np.asarray(points)[None], [cfg]))[0]
 
 
-def cluster_points(points, cfgs: Sequence[ClusteringConfig]) -> list[ClusterResult]:
-    """``[cluster(points, cfg) for cfg in cfgs]``, bit for bit: the one place
-    that runs a clustering. Every config but a manhattan one reads one Gram
-    product of the points, taken only if one does. The agglomerative configs
-    of a (linkage, metric) pair share a distance matrix, merge sequence and
-    replay of the merges; each k is clamped to the point count. AP's
+def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
+                   ) -> Iterator[list[ClusterResult]]:
+    """Yield ``[cluster(points, cfg) for cfg in cfgs]`` for each point set of
+    a ``(B, n, d)`` stack, bit for bit: the one place that runs a clustering.
+
+    Every config but a manhattan one reads the point set's Gram product,
+    taken only if one does. The products are taken as one batched product
+    per chunk of ``max(1, B * d // n)`` point sets, so that a chunk's
+    products hold no more floats than the points; numpy computes each item
+    with the same BLAS call as ``X @ X.T``. Per point set, the agglomerative
+    configs of a (linkage, metric) pair share a distance matrix, merge
+    sequence and replay of the merges; each k is clamped to n. AP's
     similarities are built once, in the Gram product's buffer after every
     merge sequence, whatever the order of cfgs.
     """
-    X = np.ascontiguousarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] == 0:
+        raise ValueError("each point set must be a non-empty 2-D array")
     groups: dict[tuple[str, str] | None, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         key = (cfg.linkage, cfg.metric) if cfg.algorithm == "agglomerative" else None
         groups.setdefault(key, []).append(i)
     ap_configs = groups.pop(None, [])
-    n, results = len(X), [None] * len(cfgs)
-    gram = gram_matrix(X) if ap_configs or any(m != "manhattan" for _, m in groups) else None
-    for (linkage, metric), members in groups.items():
-        # Unnamed, the distances do not outlive the merge sequence.
-        merges = merge_sequence(gram_distances(
-            X, gram, "sqeuclidean" if linkage == "ward" else metric), linkage)
-        ks = [min(cfgs[i].n_clusters, n) for i in members]
-        for i, k, labels in zip(members, ks, cut_merges_at(merges, n, ks)):
-            results[i] = ClusterResult(labels=labels, k=k, merge_trace=merges[:n - k])
-    if ap_configs:  # similarity is negative squared euclidean distance
-        similarities = np.negative(gram_distances(X, gram, "sqeuclidean"), out=gram)
-        for i in ap_configs:
-            results[i] = propagate(similarities, cfgs[i])
-    return results
+    needs_gram = bool(ap_configs) or any(m != "manhattan" for _, m in groups)
+    count, n, dim = stack.shape
+    chunk = max(1, count * dim // n)
+    for lo in range(0, count, chunk):
+        part = stack[lo:lo + chunk]
+        grams = gram_matrix(part) if needs_gram else [None] * len(part)
+        for X, gram in zip(part, grams):
+            results = [None] * len(cfgs)
+            for (linkage, metric), members in groups.items():
+                # Unnamed, the distances do not outlive the merge sequence.
+                merges = merge_sequence(gram_distances(
+                    X, gram, "sqeuclidean" if linkage == "ward" else metric), linkage)
+                ks = [min(cfgs[i].n_clusters, n) for i in members]
+                for i, k, labels in zip(members, ks, cut_merges_at(merges, n, ks)):
+                    results[i] = ClusterResult(labels=labels, k=k,
+                                               merge_trace=merges[:n - k])
+            if ap_configs:  # similarity is negative squared euclidean distance
+                similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),
+                                           out=gram)
+                for i in ap_configs:
+                    results[i] = propagate(similarities, cfgs[i])
+            yield results

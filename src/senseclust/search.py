@@ -4,10 +4,12 @@ hyperparameters, with heatmap and linkage-sweep exports.
 The search runs one task per word with gold senses; words without them are
 never clustered. A task builds each context's power-independent terms
 (embedding rows, tf-idf and chi-square values) once, and its power step
-gives the context's vectors under every power pair as stacked matmuls. Per
-power pair, ``cluster.cluster_points``, the routine behind ``cluster``,
-runs every clustering config from one Gram product, and all the labelings
-are scored against the gold senses with one contingency table. A config's
+gives the context's vectors under every power pair as stacked matmuls. One
+``cluster.cluster_points`` call, the routine behind ``cluster``, takes that
+stack of point sets, one per power pair, and their Gram products as one
+batched product. It yields each power pair's labelings under every
+clustering config, which are scored against the gold senses with one
+contingency table and then dropped. A config's
 train ARI combines the per-word scores in gold word order, so it is the
 same float for any worker count. Results are ranked by train ARI
 descending with ties broken by ascending config serialization.
@@ -177,8 +179,9 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
         """The word's ARI under every config, in ``space.configs()`` order."""
         keep, codes = gold[word]
         scores: list[float] = []
-        for X in vectorize_word(dataset, word, model, idf, chi2, weightings):
-            labels = np.stack([r.labels for r in cluster_points(X, clusterings)])
+        stack = vectorize_word(dataset, word, model, idf, chi2, weightings)
+        for results in cluster_points(stack, clusterings):
+            labels = np.stack([r.labels for r in results])
             scores += ari_rows(codes, labels[:, keep])
         return scores
 

@@ -1,4 +1,6 @@
+import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +109,28 @@ def test_jitter_retry_on_tied_similarities():
     if not res.converged:
         assert res.jitter_applied is True
     assert len(res.labels) == 4
+
+
+def test_identical_points_get_identical_similarity_rows():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 200)) * rng.uniform(0.5, 3.0, size=(30, 1))
+    X = np.vstack([X, X[:10]])  # row 30 + i copies row i
+    # ``senseclust.cluster`` is the package's ``cluster()`` function, which
+    # shadows the submodule of the same name.
+    module = importlib.import_module("senseclust.cluster")
+    propagate, seen = module.propagate, []
+
+    def recording(S, cfg):
+        seen.append(S.copy())  # before the preference fills the diagonal
+        return propagate(S, cfg)
+
+    with mock.patch.object(module, "propagate", recording):
+        res = affinity_propagation(X, ap_cfg())
+    [S] = seen
+    assert np.array_equal(S[30:], S[:10])
+    assert np.array_equal(S[:, 30:], S[:, :10])
+    assert np.all(S[np.arange(10), np.arange(30, 40)] == 0.0)
+    assert np.array_equal(res.labels[30:], res.labels[:10])
 
 
 def test_damping_validation():

@@ -1,14 +1,21 @@
 import importlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from senseclust.cluster import (ClusteringConfig, agglomerative, cluster,
                                 cluster_points, cut_merges, cut_merges_at,
-                                dendrogram, pairwise_distances)
+                                dendrogram, gram_matrix, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
+
+# ``senseclust.cluster`` is the package's ``cluster()`` function, which
+# shadows the submodule of the same name.
+cluster_module = importlib.import_module("senseclust.cluster")
 
 ALL_COMBOS = [("ward", "euclidean"),
               ("average", "euclidean"), ("average", "manhattan"), ("average", "cosine"),
@@ -61,37 +68,102 @@ def test_k_clamped_without_warning():
     assert res.k == 3
 
 
+def assert_same_results(got, want, where=None):
+    """Every ``ClusterResult`` field of two result lists is equal."""
+    assert len(got) == len(want), where
+    for a, b in zip(got, want):
+        assert a.labels.dtype == b.labels.dtype, where
+        assert np.array_equal(a.labels, b.labels), where
+        assert a.k == b.k, where
+        assert a.merge_trace == b.merge_trace, where
+        assert a.exemplars == b.exemplars, where
+        assert a.converged == b.converged, where
+        assert a.jitter_applied == b.jitter_applied, where
+
+
+# Two AP configs, the second stopping before it converges (and retrying with
+# jitter on tied similarities), then every linkage/metric pair at k = 2 and
+# k = 9, the linkages interleaved.
+AP_CONFIGS = [ClusteringConfig(algorithm="affinity_propagation"),
+              ClusteringConfig(algorithm="affinity_propagation", damping=0.9,
+                               preference=-1.0, max_iter=3)]
+EVERY_CONFIG = AP_CONFIGS + [cfg(k, linkage, metric) for k in (2, 9)
+                             for linkage, metric in ALL_COMBOS[::2] + ALL_COMBOS[1::2]]
+
+
 def test_cluster_points_equals_one_cluster_call_per_config():
-    # AP configs come first and the linkages interleave, so AP's similarities
-    # must wait for every merge sequence to have read the Gram product. k = 9
-    # exceeds both point counts; the second AP config stops before converging
-    # on tied similarities and retries with jitter.
-    ap = [ClusteringConfig(algorithm="affinity_propagation"),
-          ClusteringConfig(algorithm="affinity_propagation", damping=0.9,
-                           preference=-1.0, max_iter=3)]
-    agg = [cfg(k, linkage, metric) for k in (2, 9)
-           for linkage, metric in ALL_COMBOS[::2] + ALL_COMBOS[1::2]]
-    cfgs = ap + agg
+    # AP configs come first, so AP's similarities must wait for every merge
+    # sequence to have read the Gram product. k = 9 exceeds both point counts.
     X = np.random.default_rng(3).normal(size=(6, 4))
     X[2] = 0.0  # an all-OOV context
     X[4] = X[5] = X[1]
     for points in (X, X[2:3]):
         before = points.copy()
-        batch = cluster_points(points, cfgs)
+        [batch] = cluster_points(points[None], EVERY_CONFIG)
         assert np.array_equal(points, before)
-        assert len(batch) == len(cfgs)
-        for config, got in zip(cfgs, batch):
-            want = cluster(points, config)
-            assert got.labels.dtype == want.labels.dtype
-            assert np.array_equal(got.labels, want.labels), config
-            assert got.k == want.k
-            assert got.merge_trace == want.merge_trace
-            assert got.exemplars == want.exemplars
-            assert got.converged == want.converged
-            assert got.jitter_applied == want.jitter_applied
+        assert_same_results(batch, [cluster(points, c) for c in EVERY_CONFIG])
         assert batch[1].jitter_applied is (len(points) > 1)
-        assert [r.k for r in batch[len(ap):]] == [min(c.n_clusters, len(points))
-                                                  for c in agg]
+        assert [r.k for r in batch[len(AP_CONFIGS):]] == [
+            min(c.n_clusters, len(points)) for c in EVERY_CONFIG[len(AP_CONFIGS):]]
+
+
+@st.composite
+def point_stacks(draw):
+    """A (B, n, d) stack of point sets with coarse values, so that distances
+    tie, and with the same zero rows and duplicate rows in every set."""
+    count, n = draw(st.integers(1, 40)), draw(st.integers(1, 130))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.round(rng.normal(size=(count, n, dim)), 1)
+    row = st.integers(0, n - 1)
+    stack[:, draw(st.lists(row, max_size=3))] = 0.0
+    for source, copy in draw(st.lists(st.tuples(row, row), max_size=3)):
+        stack[:, copy] = stack[:, source]
+    return stack
+
+
+# n > d: max(1, 5 * 3 // 7) = 2 point sets per chunk, so chunks of 2, 2 and 1.
+CHUNKED = np.round(np.random.default_rng(4).normal(size=(5, 7, 3)), 1)
+CHUNKED[:, 6] = CHUNKED[:, 2]
+
+
+@settings(max_examples=10, deadline=None)
+@given(point_stacks())
+@example(CHUNKED)
+def test_a_stack_equals_one_call_per_point_set(stack):
+    before = stack.copy()
+    count, n, dim = stack.shape
+    products = []
+
+    def recording(part):
+        gram = gram_matrix(part)
+        products.append((part.copy(), gram.copy()))  # AP writes into the product
+        return gram
+
+    with mock.patch.object(cluster_module, "gram_matrix", recording):
+        batch = list(cluster_points(stack, EVERY_CONFIG))
+    assert np.array_equal(stack, before)
+    chunk = max(1, count * dim // n)
+    assert [len(part) for part, _ in products] == [
+        min(chunk, count - lo) for lo in range(0, count, chunk)]
+    for part, gram in products:
+        for X, G in zip(part, gram):
+            assert np.array_equal(G, X @ X.T)
+    assert len(batch) == count
+    for b, got in enumerate(batch):
+        [want] = cluster_points(stack[b:b + 1], EVERY_CONFIG)
+        assert_same_results(got, want, b)
+
+
+DUPLICATED = np.random.default_rng(5).normal(size=(60, 200)) * np.linspace(0.5, 3, 60)[:, None]
+DUPLICATED = np.vstack([DUPLICATED, DUPLICATED[:20]])  # row 60 + i copies row i
+
+
+@pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
+def test_duplicates_merge_first_at_zero_in_index_order(linkage, metric):
+    merges = dendrogram(DUPLICATED, linkage, metric)
+    assert merges[:20] == [(i, 60 + i, 0.0) for i in range(20)]
+    assert all(dist > 0.0 for _, _, dist in merges[20:])
 
 
 def test_single_point():
@@ -302,7 +374,5 @@ def test_merges_equal_masked_update_loop_bitwise(linkage, metric):
 @pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
 def test_merges_equal_masked_update_loop_when_rebuilding_at_every_size(
         linkage, metric, monkeypatch):
-    # The package exports a function named ``cluster``, which hides the module.
-    module = importlib.import_module("senseclust.cluster")
-    monkeypatch.setattr(module, "_REBUILD_FLOOR", 2)
+    monkeypatch.setattr(cluster_module, "_REBUILD_FLOOR", 2)
     assert_merges_equal_masked(range(1, 61), linkage, metric)

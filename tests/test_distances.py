@@ -120,3 +120,32 @@ def test_zero_vector_row_is_the_row_sum_bitwise():
             assert np.array_equal(D[:, z], row_sums)
             assert np.array_equal(D[z], ref[z])
             assert np.array_equal(E[z], np.sqrt(row_sums))
+
+
+def test_identical_points_get_identical_distance_rows():
+    # The Gram form rounds the distance between equal rows apart (2e-16 to
+    # 7e-16 on the squared scale for some pairs); every copy of a point takes
+    # the lowest copy's row and column and lies at exactly 0 from it.
+    # Non-zero rows: cosine puts zero vectors at 1 even from each other.
+    X = np.random.default_rng(5).normal(size=(60, 200)) * np.linspace(0.5, 3.0, 60)[:, None]
+    X = np.vstack([X, X[1:21], X[1:3]])  # rows 60.. copy rows 1..20, then 1, 2
+    copies = {i: [i, 59 + i] + ([79 + i] if i <= 2 else []) for i in range(1, 21)}
+    for kernel, D in kernels(X).items():
+        for group in copies.values():
+            for j in group[1:]:
+                assert np.array_equal(D[j], D[group[0]]), kernel
+                assert np.array_equal(D[:, j], D[:, group[0]]), kernel
+            assert np.all(D[np.ix_(group, group)] == 0.0), kernel
+        assert np.array_equal(D, D.T), kernel
+
+
+def test_distinct_points_keep_their_gram_form_bits():
+    # Only rows that repeat are tied: zero rows and rows of equal norm that
+    # differ keep the values the Gram form gives them.
+    X = unit_points(40, 200, seed=6)
+    X[1] = -X[2]  # equal squared norms, distinct rows
+    gram = X @ X.T
+    sq = (X * X).sum(axis=1)
+    want = np.maximum(np.add.outer(sq, sq) - 2.0 * gram, 0.0)
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(pairwise_distances(X, "sqeuclidean"), want)

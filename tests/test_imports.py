@@ -3,7 +3,7 @@ level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens an input file for reading (numpy's
 file readers count), only ``cluster.py`` calls the clustering kernels, no
 module raises powers with numpy, and no module changes the process-wide
-warning filters."""
+warning filters, the BLAS thread count or the environment."""
 
 import ast
 import subprocess
@@ -150,4 +150,39 @@ def test_only_the_cluster_module_calls_the_clustering_kernels():
         offenders += [f"{path.name}:{node.lineno} {name}()"
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and (name := _called_name(node)) in CLUSTERING_KERNELS]
+    assert offenders == []
+
+
+# Modules that reach into a BLAS library, and ``os`` names for the environment.
+THREAD_CONTROL_MODULES = ("ctypes", "threadpoolctl")
+ENVIRONMENT_NAMES = ("environ", "environb", "putenv", "unsetenv")
+
+
+def _process_setting(node: ast.AST) -> str | None:
+    """What the node reaches of a process-wide setting: an import of
+    ``ctypes`` or ``threadpoolctl``, or ``os``'s environment."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".")[0] for a in node.names]
+        return next((n for n in names if n in THREAD_CONTROL_MODULES), None)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        root = node.module.split(".")[0]
+        if root in THREAD_CONTROL_MODULES:
+            return root
+        if root == "os":
+            return next((a.name for a in node.names if a.name in ENVIRONMENT_NAMES), None)
+    if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name) and node.value.id == "os"):
+        return node.attr
+    return None
+
+
+def test_no_module_sets_blas_threads_or_the_environment():
+    # A BLAS thread count or an environment variable set by the library would
+    # hold for the whole process and every worker it starts; what a run costs
+    # is settled by how the library calls numpy, as for the warning filters.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                      if (name := _process_setting(node))]
     assert offenders == []

@@ -212,11 +212,12 @@ def _search_csvs(dataset, model, chi2, jobs):
 
 @pytest.fixture()
 def gram_sizes(monkeypatch):
-    """The point count of each Gram product the search takes."""
+    """``(point sets, points per set)`` of each batched Gram product the
+    search takes."""
     sizes = []
 
     def counting(X):
-        sizes.append(len(X))
+        sizes.append(X.shape[:2])
         return gram_matrix(X)
 
     # ``senseclust.cluster`` is the package's ``cluster()`` function, which
@@ -229,14 +230,18 @@ def gram_sizes(monkeypatch):
 def test_one_gram_product_per_gold_word_and_power_pair(gram_sizes):
     dataset, model = _mixed_words_dataset(extra_words=False)
     _search_csvs(dataset, model, build_chi2(dataset), jobs=1)
-    assert gram_sizes == [6] * 2 * 36
+    # Each word's 36 power pairs in chunks of 36 * d // n = 36 * 4 // 6 = 24
+    # point sets, so that a chunk's products hold no more floats than its
+    # points: still one product per gold word and power pair.
+    assert gram_sizes == [(24, 6), (12, 6)] * 2
 
 
 def test_words_without_gold_senses_are_never_clustered(gram_sizes):
     dataset, model = _mixed_words_dataset()
     chi2 = build_chi2(dataset)
     with_extra = _search_csvs(dataset, model, chi2, jobs=1)
-    assert sorted(gram_sizes) == [1] * 36 + [6] * 2 * 36  # never the 5 of "ключ"
+    # Never the 5 of "ключ"; the one context of "лук" fits in one chunk.
+    assert sorted(gram_sizes) == [(12, 6), (12, 6), (24, 6), (24, 6), (36, 1)]
     # Dropping the word changes nothing; the same chi2 table isolates the search.
     del dataset.by_target["ключ"]
     assert _search_csvs(dataset, model, chi2, jobs=1)[0] == with_extra[0]
