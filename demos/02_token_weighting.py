@@ -7,8 +7,12 @@ that pair. Raising both factors to tuned powers puts them on a common scale
 before multiplying.
 """
 
+import numpy as np
+
 import senseclust as sc
 from senseclust.dataset import ContextInstance, Dataset
+from senseclust.vectorize import context_terms
+from senseclust.weighting import power
 
 # background corpus for idf: "the" is everywhere, "insurance" is rare
 docs = [["the", "insurance", "policy"], ["the", "river", "bank"],
@@ -19,14 +23,25 @@ print("idf('the')       =", round(idf.idf("the"), 3))
 print("idf('insurance') =", round(idf.idf("insurance"), 3))
 print("idf('unseen')    =", round(idf.idf("unseen"), 3), "(smoothed, never zero)")
 
-print("\ntf doubles the weight:",
-      sc.tfidf_weight("bank", ["bank", "bank", "the"], idf), "vs",
-      sc.tfidf_weight("bank", ["bank", "the"], idf))
-
 
 def instance(cid, target, tokens):
     return ContextInstance(context_id=cid, target=target, gold_sense=None,
                            target_spans=[], raw_context=" ".join(tokens))
+
+
+# The vectorizer weighs only tokens with an embedding; one-hot rows suffice here.
+words = ["bank", "the", "insurance", "claim", "water", "slope"]
+model = sc.EmbeddingModel(np.eye(len(words)), {w: i for i, w in enumerate(words)})
+
+
+def tfidf_of(word, tokens):
+    """The tf-idf the vectorizer gives ``word`` in a context of ``tokens``."""
+    ctx = instance("c", "zzz", tokens)
+    return context_terms(ctx, model, idf, sc.Chi2Table()).tfidf[ctx.kept.index(word)]
+
+
+print("\ntf doubles the weight:", tfidf_of("bank", ["bank", "bank", "the"]), "vs",
+      tfidf_of("bank", ["bank", "the"]))
 
 
 # two targets; "insurance" appears only with "policy" contexts,
@@ -51,12 +66,12 @@ print("chi2(policy, the)       =", round(chi2.value("policy", "the"), 3))
 print("\nraw 2x2 example: a=8 b=2 c=2 d=88 ->",
       round(sc.chi2_statistic(8, 2, 2, 88), 4))
 
-cfg = sc.WeightingConfig(p_tfidf=1.5, p_chi2=0.5)
-w_ins = sc.combine(sc.tfidf_weight("insurance", rows[0].tokens, idf),
-                   chi2.value("policy", "insurance"), cfg)
-w_the = sc.combine(sc.tfidf_weight("the", rows[0].tokens, idf),
-                   chi2.value("policy", "the"), cfg)
+# A token's weight is tfidf^p_tfidf * chi2^p_chi2, per kept occurrence (the
+# target "policy" itself is excluded from its context).
+terms = context_terms(rows[0], model, idf, chi2)
+weights = np.multiply(power(terms.tfidf, 1.5), power(terms.chi2, 0.5))
+w_ins, w_the = weights
 print(f"\ncombined weight in a 'policy' context: insurance={w_ins:.3f}, "
       f"the={w_the:.3f}")
 print("zero exponents disable a factor entirely:",
-      sc.combine(123.0, 456.0, sc.WeightingConfig(0.0, 0.0)), "(x^0 = 1)")
+      power([123.0], 0.0)[0] * power([456.0], 0.0)[0], "(x^0 = 1)")

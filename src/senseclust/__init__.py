@@ -15,7 +15,7 @@ from .search import (SearchResult, SearchSpace, export_k_linkage_sweep,
 from .text import exclude_target, tokenize
 from .vectorize import ContextVector, vectorize, vectorize_dataset
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
-                        build_idf, chi2_statistic, combine, tfidf_weight)
+                        build_idf, chi2_statistic)
 
 __version__ = "0.1.0"
 
@@ -25,11 +25,11 @@ __all__ = [
     "FrequencyTable", "IdfTable", "Labeling", "SearchResult", "SearchSpace",
     "Stemmer", "TranslationRecord", "WeightingConfig", "affinity_propagation",
     "agglomerative", "ari", "build_chi2", "build_idf", "chi2_statistic",
-    "cluster", "combine", "confusion_matrix", "dendrogram", "evaluate",
+    "cluster", "confusion_matrix", "dendrogram", "evaluate",
     "exclude_target", "export_k_linkage_sweep", "export_power_heatmap",
     "grid_search", "label_by_translation", "load_embeddings",
     "load_frequency_table", "norm_frequency_report", "parse_dataset",
     "pairwise_distances", "porter_stem", "read_translations",
-    "serialize_config", "tfidf_weight", "tokenize", "vectorize",
+    "serialize_config", "tokenize", "vectorize",
     "vectorize_dataset", "write_embeddings", "write_predictions",
 ]

@@ -17,6 +17,9 @@ METRICS = ("euclidean", "manhattan", "cosine")
 ALGORITHMS = ("agglomerative", "affinity_propagation")
 # Below about 200 rows a rebuild costs more than the shorter scans save.
 _REBUILD_FLOOR = 200
+# From this many point sets in a chunk, their merge loops run as one stack;
+# below it the per-set loop is faster.
+_STACK_FLOOR = 8
 
 
 @dataclass
@@ -212,6 +215,103 @@ def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
     return merges
 
 
+def merge_sequences(D: np.ndarray, linkage: str
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``merge_sequence`` of each matrix of a ``(B, n, n)`` stack D, which is
+    consumed, as ``(n - 1, B)`` arrays of a, b and distance, bit for bit.
+
+    Each row caches the minimum of its upper triangle and that minimum's
+    lowest column (the "generic" algorithm of Müllner 2011), so a step finds
+    every set's lowest-(a, b) minimum pair in B * n cached values. Once a
+    and b > a merge, row a and every row whose cached column was a or b are
+    rescanned; any other row i < a takes the new ``D[i, a]`` if it is
+    smaller, or equal with a lower column. Reducibility is not assumed: a
+    rounded Lance-Williams value may fall below an old minimum.
+    """
+    count, n, _ = D.shape
+    sets, index = np.arange(count), np.arange(n)
+    D[:, index, index] = np.inf
+    # Integral sizes as floats: the same bits as merge_sequence's int64 sizes,
+    # without a cast per operation.
+    sizes = np.ones((count, n))
+    mins = np.full((count, n), np.inf)
+    # Row i of ``left`` marks the columns left of i, of ``right`` those right.
+    left, right = index < index[:, None], index > index[:, None]
+    cols = np.full((count, n), -1)  # -1: the last row and retired rows
+    for i in range(n - 1):
+        cols[:, i] = i + 1 + D[:, i, i + 1:].argmin(axis=1)
+        mins[:, i] = D[:, i, i + 1:].min(axis=1)
+    merged = (np.empty((n - 1, count), dtype=np.intp),
+              np.empty((n - 1, count), dtype=np.intp), np.empty((n - 1, count)))
+    for step in range(n - 1):
+        # Among equal minima argmin takes the lowest row, and a row caches
+        # its lowest column: the lowest (a, b), as the full-matrix argmin.
+        a = mins.argmin(axis=1)
+        b = cols[sets, a]
+        dist = mins[sets, a]
+        merged[0][step], merged[1][step], merged[2][step] = a, b, dist
+        # Lance-Williams on whole rows, element for element as merge_sequence.
+        Da, Db = D[sets, a], D[sets, b]
+        sa, sb = sizes[sets, a][:, None], sizes[sets, b][:, None]
+        if linkage == "complete":
+            np.maximum(Da, Db, out=Da)
+        elif linkage == "average":
+            Da *= sa
+            Db *= sb
+            Da += Db
+            Da /= sa + sb
+        else:  # ward
+            Da *= sa + sizes
+            Db *= sb + sizes
+            Da += Db
+            Da -= sizes * dist[:, None]
+            Da /= sa + sb + sizes
+        D[sets, a] = Da
+        D[sets, :, a] = Da
+        sizes[sets, a] += sb[:, 0]
+        sizes[sets, b] = 0
+        D[sets, b] = np.inf
+        D[sets, :, b] = np.inf
+        stale = (cols == a[:, None]) | (cols == b[:, None])
+        stale[sets, a] = True
+        # Row i < a sees the new D[i, a] = Da[i] and an inf at b. A retired
+        # row is inf at a and caches -1, so it never changes.
+        lower = left[a] & ((Da < mins) | ((Da == mins) & (a[:, None] < cols)))
+        np.copyto(mins, Da, where=lower)
+        np.copyto(cols, a[:, None], where=lower)
+        stale[sets, b] = False
+        mins[sets, b] = np.inf
+        cols[sets, b] = -1
+        rs, ri = np.divmod(np.flatnonzero(stale), n)
+        rows = np.where(right[ri], D[rs, ri], np.inf)
+        cols[rs, ri] = rows.argmin(axis=1)
+        mins[rs, ri] = rows[np.arange(len(rs)), cols[rs, ri]]
+    return merged
+
+
+def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
+                  ks: Sequence[int]) -> list[np.ndarray]:
+    """``cut_merges_at`` of every set of ``merge_sequences``' output: one
+    ``(B, n)`` array of labels per k, from one replay of all the merges.
+
+    ``rep`` holds each point's cluster's lowest original index; a cluster's
+    label is the rank of that index among the clusters' own.
+    """
+    if not all(1 <= k <= n for k in ks):
+        raise ValueError(f"cluster counts must be in 1..{n}, got {list(ks)}")
+    first, second, _ = merged
+    rep = np.tile(np.arange(n), (first.shape[1], 1))
+    cuts: dict[int, np.ndarray] = {}
+    done = 0
+    for step in sorted({n - k for k in ks}):
+        for a, b in zip(first[done:step], second[done:step]):
+            np.copyto(rep, a[:, None], where=rep == b[:, None])
+        done = step
+        ranks = np.cumsum(rep == np.arange(n), axis=1, dtype=np.int64) - 1
+        cuts[n - step] = np.take_along_axis(ranks, rep, axis=1)
+    return [cuts[k] for k in ks]
+
+
 def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
     """Labels after applying the first n-k merges.
 
@@ -373,11 +473,19 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     taken only if one does. The products are taken as one batched product
     per chunk of ``max(1, B * d // n)`` point sets, so that a chunk's
     products hold no more floats than the points; numpy computes each item
-    with the same BLAS call as ``X @ X.T``. Per point set, the agglomerative
-    configs of a (linkage, metric) pair share a distance matrix, merge
-    sequence and replay of the merges; each k is clamped to n. AP's
-    similarities are built once, in the Gram product's buffer after every
-    merge sequence, whatever the order of cfgs.
+    with the same BLAS call as ``X @ X.T``. The agglomerative configs of a
+    (linkage, metric) pair share each point set's distance matrix, merge
+    sequence and replay of the merges; each k is clamped to n.
+
+    There are two merge kernels with the same merges. A chunk of at least
+    ``_STACK_FLOOR`` point sets writes a group's distance matrices into one
+    ``(chunk, n, n)`` buffer, reused by every group, and runs
+    ``merge_sequences`` and ``cut_sequences`` once on the stack; the buffer
+    holds no more floats than the chunk's Gram products. A shallower chunk
+    runs ``merge_sequence`` and ``cut_merges_at`` per point set, which is
+    faster there. AP's similarities are built once per point set, in the
+    Gram product's buffer after every merge sequence of its chunk, whatever
+    the order of cfgs.
     """
     stack = np.ascontiguousarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1] == 0:
@@ -390,22 +498,36 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     needs_gram = bool(ap_configs) or any(m != "manhattan" for _, m in groups)
     count, n, dim = stack.shape
     chunk = max(1, count * dim // n)
+    depth = min(chunk, count)  # the first chunk is the deepest
+    buffer = np.empty((depth, n, n)) if groups and depth >= _STACK_FLOOR else None
     for lo in range(0, count, chunk):
         part = stack[lo:lo + chunk]
         grams = gram_matrix(part) if needs_gram else [None] * len(part)
-        for X, gram in zip(part, grams):
-            results = [None] * len(cfgs)
-            for (linkage, metric), members in groups.items():
+        results = [[None] * len(cfgs) for _ in part]
+        for (linkage, metric), members in groups.items():
+            kind = "sqeuclidean" if linkage == "ward" else metric
+            ks = [min(cfgs[i].n_clusters, n) for i in members]
+            if len(part) >= _STACK_FLOOR:
+                D = buffer[:len(part)]
+                for s, (X, gram) in enumerate(zip(part, grams)):
+                    D[s] = gram_distances(X, gram, kind)
+                merged = merge_sequences(D, linkage)
+                # Each set's merges as (a, b, distance) tuples, as merge_sequence's.
+                traces = [list(zip(*m)) for m in zip(*(x.T.tolist() for x in merged))]
+                cuts = zip(*cut_sequences(merged, n, ks))
+            else:
                 # Unnamed, the distances do not outlive the merge sequence.
-                merges = merge_sequence(gram_distances(
-                    X, gram, "sqeuclidean" if linkage == "ward" else metric), linkage)
-                ks = [min(cfgs[i].n_clusters, n) for i in members]
-                for i, k, labels in zip(members, ks, cut_merges_at(merges, n, ks)):
-                    results[i] = ClusterResult(labels=labels, k=k,
-                                               merge_trace=merges[:n - k])
+                traces = [merge_sequence(gram_distances(X, gram, kind), linkage)
+                          for X, gram in zip(part, grams)]
+                cuts = (cut_merges_at(merges, n, ks) for merges in traces)
+            for result, merges, labels_at in zip(results, traces, cuts):
+                for i, k, labels in zip(members, ks, labels_at):
+                    result[i] = ClusterResult(labels=labels, k=k,
+                                              merge_trace=merges[:n - k])
+        for X, gram, result in zip(part, grams, results):
             if ap_configs:  # similarity is negative squared euclidean distance
                 similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),
                                            out=gram)
                 for i in ap_configs:
-                    results[i] = propagate(similarities, cfgs[i])
-            yield results
+                    result[i] = propagate(similarities, cfgs[i])
+            yield result

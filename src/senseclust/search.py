@@ -7,7 +7,9 @@ never clustered. A task builds each context's power-independent terms
 gives the context's vectors under every power pair as stacked matmuls. One
 ``cluster.cluster_points`` call, the routine behind ``cluster``, takes that
 stack of point sets, one per power pair, and their Gram products as one
-batched product. It yields each power pair's labelings under every
+batched product. The power pairs' dendrograms of one (linkage, metric)
+pair then run as one stacked merge loop with cached row minima, and one
+replay of their merges cuts every k. It yields each power pair's labelings under every
 clustering config, which are scored against the gold senses with one
 contingency table and then dropped. A config's
 train ARI combines the per-word scores in gold word order, so it is the

@@ -71,14 +71,6 @@ def build_idf(doc_stream: Iterable[Sequence[str]]) -> IdfTable:
     return IdfTable(n_docs=n_docs, df=dict(df))
 
 
-def tfidf_weight(token: str, context_tokens: Sequence[str], idf: IdfTable) -> float:
-    """Raw term frequency in the context times smoothed idf."""
-    tf = sum(1 for t in context_tokens if t == token)
-    if tf == 0:
-        raise ValueError(f"token {token!r} not in context")
-    return tf * idf.idf(token)
-
-
 @dataclass
 class Chi2Table:
     """chi2(target, context word) association scores over a dataset.
@@ -144,13 +136,6 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
 def power(values: Sequence[float], p: float) -> list[float]:
     """Each x^p with x^0 = 1, by Python's ``**``: ``np.power`` can differ in the last bit."""
     return [1.0] * len(values) if p == 0 else [x ** p for x in values]
-
-
-def combine(tfidf_w: float, chi2_w: float, cfg: WeightingConfig) -> float:
-    """tfidf_w^p_tfidf * chi2_w^p_chi2 with the x^0 = 1 convention."""
-    if tfidf_w < 0 or chi2_w < 0 or not (math.isfinite(tfidf_w) and math.isfinite(chi2_w)):
-        raise ValueError("weights must be finite and nonnegative")
-    return power([tfidf_w], cfg.p_tfidf)[0] * power([chi2_w], cfg.p_chi2)[0]
 
 
 # --- TSV caching ----------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from senseclust.cluster import (ClusteringConfig, agglomerative, cluster,
                                 cluster_points, cut_merges, cut_merges_at,
-                                dendrogram, gram_matrix, pairwise_distances)
+                                cut_sequences, dendrogram, gram_matrix,
+                                merge_sequence, merge_sequences, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
 
@@ -108,11 +109,11 @@ def test_cluster_points_equals_one_cluster_call_per_config():
 
 
 @st.composite
-def point_stacks(draw):
+def point_stacks(draw, max_count=40, max_n=130):
     """A (B, n, d) stack of point sets with coarse values, so that distances
     tie, and with the same zero rows and duplicate rows in every set."""
-    count, n = draw(st.integers(1, 40)), draw(st.integers(1, 130))
-    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, max_count))
+    n, dim = draw(st.integers(1, max_n)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = np.round(rng.normal(size=(count, n, dim)), 1)
     row = st.integers(0, n - 1)
@@ -122,15 +123,26 @@ def point_stacks(draw):
     return stack
 
 
+@st.composite
+def lattice_stacks(draw):
+    """A (B, n, d) stack of points on a lattice {0, s}^d: many exact ties,
+    and Lance-Williams averages of tied values that round."""
+    count, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    dim, step = draw(st.integers(1, 3)), draw(st.sampled_from([0.1, 0.3, 0.7, 1 / 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return step * rng.integers(0, 2, size=(count, n, dim))
+
+
+# On this set, average linkage on euclidean and manhattan distances rounds a
+# merged row's value to its cached minimum with a lower column.
+LATTICE = 0.1 * np.array([[[0, 0], [1, 1], [1, 1], [0, 0], [1, 0], [1, 0], [0, 1], [1, 1],
+                            [0, 0], [1, 1], [0, 0], [1, 0], [1, 0], [1, 0], [1, 1], [0, 0]]])
 # n > d: max(1, 5 * 3 // 7) = 2 point sets per chunk, so chunks of 2, 2 and 1.
 CHUNKED = np.round(np.random.default_rng(4).normal(size=(5, 7, 3)), 1)
 CHUNKED[:, 6] = CHUNKED[:, 2]
 
 
-@settings(max_examples=10, deadline=None)
-@given(point_stacks())
-@example(CHUNKED)
-def test_a_stack_equals_one_call_per_point_set(stack):
+def assert_stack_equals_one_call_per_point_set(stack):
     before = stack.copy()
     count, n, dim = stack.shape
     products = []
@@ -153,6 +165,62 @@ def test_a_stack_equals_one_call_per_point_set(stack):
     for b, got in enumerate(batch):
         [want] = cluster_points(stack[b:b + 1], EVERY_CONFIG)
         assert_same_results(got, want, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(point_stacks())
+@example(CHUNKED)
+def test_a_stack_equals_one_call_per_point_set(stack):
+    assert_stack_equals_one_call_per_point_set(stack)
+
+
+@settings(max_examples=10, deadline=None)
+@given(point_stacks(max_count=24, max_n=80))
+@example(CHUNKED)
+@example(np.repeat(LATTICE, 16, axis=0))  # chunks of 16 * 2 // 16 = 2 point sets
+def test_a_stack_equals_one_call_per_point_set_when_every_chunk_is_stacked(stack):
+    # A stack of one stays below the floor, so every chunk of two or more
+    # point sets is compared with the per-set merge loop and replay.
+    with mock.patch.object(cluster_module, "_STACK_FLOOR", 2):
+        assert_stack_equals_one_call_per_point_set(stack)
+
+
+METRIC_KINDS = ("sqeuclidean", "euclidean", "manhattan", "cosine")
+
+
+# n = 1, 2 and 3 with zero rows and equal rows, zero or not.
+SMALL_STACKS = [np.zeros((3, 1, 2)),
+                np.array([[[0.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]]]),
+                np.round(np.random.default_rng(13).normal(size=(4, 3, 2)), 0)]
+SMALL_STACKS[2][:2, 1] = 0.0
+SMALL_STACKS[2][1:, 2] = SMALL_STACKS[2][1:, 0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(point_stacks(max_count=12, max_n=60), lattice_stacks()),
+       st.lists(st.integers(0, 200), min_size=1, max_size=6))
+@example(LATTICE, [3, 9, 3])
+@example(SMALL_STACKS[0], [0, 3, 0])
+@example(SMALL_STACKS[1], [1, 0, 1, 0])
+@example(SMALL_STACKS[2], [2, 0, 1, 2])
+def test_merge_sequences_equal_one_merge_sequence_per_matrix(stack, draws):
+    count, n, _ = stack.shape
+    ks = [1 + k % n for k in draws]  # unsorted, often with repeats
+    for metric in METRIC_KINDS:
+        D = np.stack([pairwise_distances(X, metric) for X in stack])
+        for linkage in ("ward", "average", "complete"):
+            want = [merge_sequence(d.copy(), linkage) for d in D]
+            merged = merge_sequences(D.copy(), linkage)
+            assert [m.shape for m in merged] == [(n - 1, count)] * 3
+            for b in range(count):
+                got = zip(*(m[:, b].tolist() for m in merged))
+                assert merge_bits(got) == merge_bits(want[b]), (metric, linkage, b)
+            cuts = cut_sequences(merged, n, ks)
+            assert [c.shape for c in cuts] == [(count, n)] * len(ks)
+            for b in range(count):
+                for labels, expected in zip(cuts, cut_merges_at(want[b], n, ks)):
+                    assert labels.dtype == expected.dtype
+                    assert np.array_equal(labels[b], expected), (metric, linkage, b)
 
 
 DUPLICATED = np.random.default_rng(5).normal(size=(60, 200)) * np.linspace(0.5, 3, 60)[:, None]
@@ -292,10 +360,14 @@ def test_cut_merges_at_replays_once_for_every_k():
 
 
 def test_cut_merges_rejects_k_outside_one_to_n():
-    merges = dendrogram(np.arange(8.0).reshape(4, 2), "average", "euclidean")
+    points = np.arange(8.0).reshape(4, 2)
+    merges = dendrogram(points, "average", "euclidean")
+    merged = merge_sequences(pairwise_distances(points, "euclidean")[None], "average")
     for ks in ([0], [5], [2, 5]):
         with pytest.raises(ValueError, match="1..4"):
             cut_merges_at(merges, 4, ks)
+        with pytest.raises(ValueError, match="1..4"):
+            cut_sequences(merged, 4, ks)
     with pytest.raises(ValueError):
         cut_merges(merges, 4, 0)
 

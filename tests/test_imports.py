@@ -134,7 +134,8 @@ def test_no_module_changes_the_warning_filters():
 
 # What ``cluster.cluster_points`` runs a clustering with.
 CLUSTERING_KERNELS = ("gram_matrix", "gram_distances", "merge_sequence",
-                      "cut_merges_at", "propagate")
+                      "merge_sequences", "cut_merges_at", "cut_sequences",
+                      "propagate")
 
 
 def test_only_the_cluster_module_calls_the_clustering_kernels():

@@ -6,7 +6,8 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from senseclust.cluster import ClusteringConfig, agglomerative, cluster, gram_matrix
+from senseclust.cluster import (ClusteringConfig, agglomerative, cluster, gram_matrix,
+                                merge_sequences)
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
 from senseclust.errors import DataError
 from senseclust.evaluate import Labeling, evaluate
@@ -183,14 +184,16 @@ def test_jobs_do_not_change_output(small_problem):
     assert serial.ranked == parallel.ranked
 
 
-def _mixed_words_dataset(extra_words=True):
+def _mixed_words_dataset(extra_words=True, words=None):
     """Two gold words of 6 contexts; with ``extra_words``, also a word of 5
-    contexts without gold senses and a gold word of one context."""
+    contexts without gold senses and a gold word of one context. ``words``,
+    (target, contexts, has gold senses) triples, replaces them all."""
     rng = np.random.default_rng(6)
     model = synthetic.model_from_entries({f"w{i}": rng.normal(size=4) for i in range(10)})
-    words = [("замок", 6, True), ("банка", 6, True)]
-    if extra_words:
-        words += [("ключ", 5, False), ("лук", 1, True)]
+    if words is None:
+        words = [("замок", 6, True), ("банка", 6, True)]
+        if extra_words:
+            words += [("ключ", 5, False), ("лук", 1, True)]
     instances, by_target = [], {}
     for target, n, has_gold in words:
         for i in range(n):
@@ -252,6 +255,31 @@ def test_jobs_do_not_change_output_with_ungraded_and_one_context_words():
     chi2 = build_chi2(dataset)
     outputs = [_search_csvs(dataset, model, chi2, jobs) for jobs in (1, 2, 3)]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_one_and_two_context_words_rank_the_same_on_either_merge_loop(monkeypatch):
+    # A word's 36 power pairs are one chunk, so at n = 1 and n = 2 each
+    # (linkage, metric) group takes the stacked merge loop; a floor above 36
+    # sends them through the per-set loop. No operation on the inf of a
+    # retired row may warn or raise a floating-point error.
+    dataset, model = _mixed_words_dataset(words=[("лук", 1, True), ("ключ", 2, True)])
+    cluster_module = importlib.import_module("senseclust.cluster")
+    stacks = []
+
+    def recording(D, linkage):
+        stacks.append(D.shape)
+        return merge_sequences(D, linkage)
+
+    monkeypatch.setattr(cluster_module, "merge_sequences", recording)
+    inputs = (dataset, model, synthetic.build_background_idf(seed=3), build_chi2(dataset),
+              SearchSpace())
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        stacked = grid_search(*inputs).ranked
+    assert stacks == [(36, 1, 1)] * 3 + [(36, 2, 2)] * 3
+    monkeypatch.setattr(cluster_module, "_STACK_FLOOR", 37)
+    assert grid_search(*inputs).ranked == stacked
+    assert len(stacks) == 6
 
 
 def test_concurrent_searches_leave_the_warning_filters_alone(small_problem):

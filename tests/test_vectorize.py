@@ -18,8 +18,7 @@ from senseclust.text import exclude_target, matches_target_form, normalize_token
 from senseclust.vectorize import (vectorize, vectorize_dataset, vectorize_word,
                                   weighted_unit_average)
 from senseclust.weighting import (POWER_GRID, Chi2Table, IdfTable, WeightingConfig,
-                                  build_chi2, combine, read_chi2_tsv, read_idf_tsv,
-                                  tfidf_weight)
+                                  build_chi2, power, read_chi2_tsv, read_idf_tsv)
 
 import synthetic
 
@@ -252,7 +251,8 @@ def test_nfd_token_gets_nfc_entries(tmp_path):
 
 def reference_vector(instance, model, idf, chi2, cfg):
     """The per-context vectorizer as it was before the terms/power split:
-    one ``combine`` per distinct token, weights per occurrence."""
+    per distinct token, tf counted by a scan of the context and one product
+    of the two powered factors; weights per occurrence."""
     kept = exclude_target(instance.tokens, instance.target)
     rows, weights, weight_cache = [], [], {}
     for tok in kept:
@@ -260,8 +260,9 @@ def reference_vector(instance, model, idf, chi2, cfg):
         if row is None:
             continue
         if tok not in weight_cache:
-            weight_cache[tok] = combine(tfidf_weight(tok, kept, idf),
-                                        chi2.value(instance.target, tok), cfg)
+            tf = sum(1 for t in kept if t == tok)
+            weight_cache[tok] = (power([tf * idf.idf(tok)], cfg.p_tfidf)[0]
+                                 * power([chi2.value(instance.target, tok)], cfg.p_chi2)[0])
         rows.append(row)
         weights.append(weight_cache[tok])
     n_contributing = sum(1 for w in weights if w > 0)

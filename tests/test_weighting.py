@@ -5,10 +5,13 @@ import pytest
 
 from senseclust.dataset import Dataset, ContextInstance
 from senseclust.errors import DataError
+from senseclust.vectorize import ContextTerms, context_terms, power_step
 from senseclust.weighting import (Chi2Table, IdfTable, WeightingConfig,
-                                  build_chi2, build_idf, chi2_statistic,
-                                  combine, read_chi2_tsv, read_idf_tsv,
-                                  tfidf_weight, write_chi2_tsv, write_idf_tsv)
+                                  build_chi2, build_idf, chi2_statistic, power,
+                                  read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
+                                  write_idf_tsv)
+
+import synthetic
 
 
 def make_dataset(rows):
@@ -50,24 +53,35 @@ def test_build_idf_df_bounded():
     assert all(0 < d <= 1000 for d in table.df.values())
 
 
+def tfidf_terms(tokens, idf):
+    """Each embedded token of one context with the tf-idf ``context_terms``
+    gives it, as (token, tf-idf) pairs in token order."""
+    model = synthetic.model_from_entries({t: (1.0,) for t in ("a", "b", "q", "z")})
+    instance = make_dataset([("c1", "zzzzz", tokens)]).instances[0]
+    terms = context_terms(instance, model, idf, Chi2Table())
+    return list(zip([t for t in tokens if t in model.index], terms.tfidf))
+
+
 def test_tfidf_smoothing_identity():
     table = IdfTable(n_docs=1, df={"a": 1})
-    assert tfidf_weight("a", ["a", "b"], table) == pytest.approx(1.0)
+    assert tfidf_terms(["a", "b"], table)[0] == ("a", pytest.approx(1.0))
 
 
 def test_tfidf_oov_token():
     table = IdfTable(n_docs=1, df={})
-    assert tfidf_weight("z", ["z"], table) == pytest.approx(math.log(2) + 1, abs=1e-4)
+    assert tfidf_terms(["z"], table) == [("z", pytest.approx(math.log(2) + 1, abs=1e-4))]
 
 
 def test_tfidf_tf_doubles():
     table = IdfTable(n_docs=1, df={"a": 1})
-    assert tfidf_weight("a", ["a", "a", "b"], table) == pytest.approx(2.0)
+    assert tfidf_terms(["a", "a", "b"], table)[:2] == [("a", pytest.approx(2.0))] * 2
 
 
 def test_tfidf_requires_membership():
-    with pytest.raises(ValueError):
-        tfidf_weight("q", ["a"], IdfTable(n_docs=1, df={}))
+    # Only the context's own embedded tokens are weighed: not "q", which the
+    # model holds, and not "r", which it does not.
+    assert tfidf_terms(["a", "r"], IdfTable(n_docs=1, df={})) == [
+        ("a", pytest.approx(math.log(2) + 1))]
 
 
 # --- chi2 ------------------------------------------------------------------
@@ -164,21 +178,42 @@ def test_exclusive_cooccurrence_dominates():
     assert table.value("zzzzz", "only") == max(involving_only)
 
 
-# --- combine ---------------------------------------------------------------
+# --- the combined weight tfidf^p_tfidf * chi2^p_chi2 ------------------------
+
+# Two tokens with orthogonal unit embeddings: a context's vector is then its
+# two weights, L2-normalized.
+PAIR = synthetic.model_from_entries({"x": (1.0, 0.0), "y": (0.0, 1.0)})
+
+
+def pair_vector(x, y, cfg):
+    """``power_step``'s vector for tokens x and y, each a (tf-idf, chi2) pair."""
+    terms = ContextTerms("c", np.array([0, 1], dtype=np.intp), [x[0], y[0]], [x[1], y[1]])
+    return power_step(terms, PAIR, [cfg])[0]
+
+
+def weight(x, cfg):
+    """The combined weight of x, against a token whose weight is 1 under any
+    exponents."""
+    v = pair_vector(x, (1.0, 1.0), cfg)
+    return v[0] / v[1]
+
 
 def test_combine_zero_exponents_are_unit():
+    assert power([0.0, 123.4, 1.0], 0.0) == [1.0, 1.0, 1.0]
     cfg = WeightingConfig(p_tfidf=0.0, p_chi2=0.0)
-    assert combine(0.0, 0.0, cfg) == 1.0
-    assert combine(123.4, 0.0, cfg) == 1.0
+    assert weight((0.0, 0.0), cfg) == 1.0
+    assert weight((123.4, 0.0), cfg) == 1.0
 
 
 def test_combine_arithmetic():
     cfg = WeightingConfig(p_tfidf=1.5, p_chi2=0.5)
-    assert combine(2.0, 4.0, cfg) == pytest.approx(5.6569, abs=1e-4)
+    assert weight((2.0, 4.0), cfg) == pytest.approx(5.6569, abs=1e-4)
 
 
 def test_combine_absorbing_zero():
-    assert combine(0.0, 7.0, WeightingConfig(1.0, 1.0)) == 0.0
+    assert power([0.0], 1.0) == [0.0]
+    assert pair_vector((0.0, 7.0), (1.0, 1.0), WeightingConfig(1.0, 1.0))[0] == 0.0
+    assert pair_vector((7.0, 0.0), (1.0, 1.0), WeightingConfig(1.0, 1.0))[0] == 0.0
 
 
 def test_combine_monotone():
@@ -187,21 +222,27 @@ def test_combine_monotone():
     for _ in range(200):
         x, y = rng.uniform(0.01, 10, size=2)
         dx = rng.uniform(0.01, 5)
-        assert combine(x + dx, y, cfg) >= combine(x, y, cfg)
-        assert combine(x, y + dx, cfg) >= combine(x, y, cfg)
+        assert weight((x + dx, y), cfg) >= weight((x, y), cfg)
+        assert weight((x, y + dx), cfg) >= weight((x, y), cfg)
 
 
 def test_combine_unit_second_factor_ignores_exponent():
+    # Every chi2 is 1, so the vector is the same bits under any p_chi2.
+    base = pair_vector((3.0, 1.0), (0.5, 1.0), WeightingConfig(1.5, 0.0))
     for q in (0.0, 0.5, 1.0, 2.5):
-        assert combine(3.0, 1.0, WeightingConfig(1.5, q)) == pytest.approx(
-            combine(3.0, 1.0, WeightingConfig(1.5, 0.0)), rel=1e-12)
+        assert power([1.0], q) == [1.0]
+        assert np.array_equal(
+            pair_vector((3.0, 1.0), (0.5, 1.0), WeightingConfig(1.5, q)), base)
 
 
 def test_combine_rejects_bad_inputs():
+    # The tables that supply the two factors reject what could not be raised:
+    # a negative or infinite chi2, and a df outside [0, n_docs].
+    for bad in (-1.0, float("inf")):
+        with pytest.raises(ValueError):
+            Chi2Table(values={("t", "w"): bad})
     with pytest.raises(ValueError):
-        combine(-1.0, 1.0, WeightingConfig())
-    with pytest.raises(ValueError):
-        combine(float("inf"), 1.0, WeightingConfig())
+        IdfTable(n_docs=1, df={"a": 2})
 
 
 def test_weighting_config_range():
