@@ -2,7 +2,8 @@
 diagnostics, and translation-based labeling.
 
 Exit codes: 0 success, 1 usage error (bad flags or constraint violations),
-2 data error (missing or malformed input files). All outputs are
+2 data error (missing or malformed input files). Each task of ``cluster`` and
+``grid-search`` vectorizes and clusters one word, so all outputs are
 deterministic functions of the flags and the input files, whatever --jobs is.
 """
 
@@ -14,7 +15,7 @@ from itertools import compress
 from pathlib import Path
 
 from . import search as search_mod
-from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster
+from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster_points
 from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
@@ -25,7 +26,7 @@ from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
 from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
                      parse_space_file, serialize_config)
 from .text import tokenize
-from .vectorize import dump_vectors, vectorize_dataset
+from .vectorize import dump_vectors, vectorize_word
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
                         build_idf, read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
                         write_idf_tsv)
@@ -38,17 +39,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default would sys.exit(2)
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-tfidf", type=float, default=1.0,
-                   help="tf-idf power exponent (default: 1.0)")
-    p.add_argument("--p-chi2", type=float, default=1.0,
-                   help="chi-square power exponent (default: 1.0)")
-    p.add_argument("--idf", type=Path, default=None,
-                   help="idf cache TSV from build-idf (required unless --p-tfidf 0)")
-    p.add_argument("--chi2", type=Path, default=None,
-                   help="chi2 cache TSV from build-chi2 (default: computed from the dataset)")
 
 
 def _at_least(low: int):
@@ -105,7 +95,14 @@ def build_parser() -> _Parser:
     p.add_argument("--convergence-window", type=int, default=15,
                    help="iterations of stable exemplars to declare convergence "
                         "(default: 15)")
-    _add_weight_flags(p)
+    p.add_argument("--p-tfidf", type=float, default=1.0,
+                   help="tf-idf power exponent (default: 1.0)")
+    p.add_argument("--p-chi2", type=float, default=1.0,
+                   help="chi-square power exponent (default: 1.0)")
+    p.add_argument("--idf", type=Path, default=None,
+                   help="idf cache TSV from build-idf (required unless --p-tfidf 0)")
+    p.add_argument("--chi2", type=Path, default=None,
+                   help="chi2 cache TSV from build-chi2 (default: computed from the dataset)")
     p.add_argument("--out", type=Path, required=True, help="predictions TSV")
     p.add_argument("--dump-vectors", type=Path, default=None,
                    help="optional TSV dump of the context vectors")
@@ -178,18 +175,6 @@ def _emit(text: str, out: Path | None) -> None:
             fh.write(text)
 
 
-def _clustering_config(args) -> ClusteringConfig:
-    try:
-        return ClusteringConfig(
-            algorithm=args.algo, n_clusters=args.k, linkage=args.linkage,
-            metric=args.metric, damping=args.damping,
-            preference=parse_preference(args.preference),
-            max_iter=args.max_iter, convergence_window=args.convergence_window,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_build_idf(args) -> int:
     docs = (tokenize(line) for path in args.corpus
             for _, line in read_lines(path) if not line.isspace())
@@ -221,8 +206,12 @@ def cmd_build_chi2(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ccfg = _clustering_config(args)
     try:
+        ccfg = ClusteringConfig(
+            algorithm=args.algo, n_clusters=args.k, linkage=args.linkage,
+            metric=args.metric, damping=args.damping,
+            preference=parse_preference(args.preference),
+            max_iter=args.max_iter, convergence_window=args.convergence_window)
         wcfg = WeightingConfig(p_tfidf=args.p_tfidf, p_chi2=args.p_chi2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -233,11 +222,15 @@ def cmd_cluster(args) -> int:
     idf = read_idf_tsv(args.idf) if args.idf is not None else IdfTable(n_docs=1, df={})
     chi2 = _chi2_table(args.chi2, dataset)
 
-    by_word = vectorize_dataset(dataset, model, idf, chi2, wcfg)
-    results = parallel_map(lambda X: cluster(X, ccfg),
-                           [X for _, X in by_word.values()], args.jobs)
-    assignments = {}
-    for (word, (ids, X)), result in zip(by_word.items(), results):
+    def cluster_word(word: str):
+        """The word's context vectors, ``(n, d)``, and their clustering."""
+        stack = vectorize_word(dataset, word, model, idf, chi2, [wcfg])
+        return stack[0], next(cluster_points(stack, [ccfg]))[0]
+
+    words = list(dataset.by_target)
+    assignments, vectors = {}, {}
+    for word, (X, result) in zip(words, parallel_map(cluster_word, words, args.jobs)):
+        ids = [dataset.instances[i].context_id for i in dataset.by_target[word]]
         for cid in compress(ids, ~X.any(axis=1)):
             _warn(f"context {cid!r}: no contributing tokens, zero vector")
         if ccfg.algorithm == "agglomerative" and result.k < ccfg.n_clusters:
@@ -245,11 +238,11 @@ def cmd_cluster(args) -> int:
         if result.converged is False:
             _warn(f"word {word!r}: affinity propagation did not converge")
         assignments.update((cid, str(int(lab))) for cid, lab in zip(ids, result.labels))
+        if args.dump_vectors is not None:
+            vectors.update(zip(ids, X))
     write_predictions(dataset, Labeling(assignments), args.out)
     if args.dump_vectors is not None:
-        vec_of = {cid: X[i] for ids, X in by_word.values()
-                  for i, cid in enumerate(ids)}
-        dump_vectors(((inst.context_id, vec_of[inst.context_id])
+        dump_vectors(((inst.context_id, vectors[inst.context_id])
                       for inst in dataset.instances), args.dump_vectors)
     return 0
 
@@ -292,13 +285,18 @@ def cmd_grid_search(args) -> int:
     idf = read_idf_tsv(args.idf)
     chi2 = _chi2_table(args.chi2, dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
+    fixed = None
+    if args.out_heatmap is not None and args.heatmap_view == "default":
+        fixed = (ClusteringConfig() if "agglomerative" in space.algorithms
+                 else ClusteringConfig(algorithm="affinity_propagation"))
+        if fixed not in space.clusterings():
+            raise DataError(f"{args.space}: --heatmap-view default needs the default "
+                            f"{fixed.algorithm} config")
+    if args.out_sweep is not None and "agglomerative" not in space.algorithms:
+        raise DataError(f"{args.space}: --out-sweep needs agglomerative configs")
     result = grid_search(dataset, model, idf, chi2, space, jobs=args.jobs)
     _emit(search_mod.ranked_csv(result), args.out_ranked)
     if args.out_heatmap is not None:
-        fixed = None
-        if args.heatmap_view == "default":
-            fixed = (ClusteringConfig() if "agglomerative" in space.algorithms
-                     else ClusteringConfig(algorithm="affinity_propagation"))
         rows = search_mod.export_power_heatmap(result, fixed_clustering=fixed)
         _emit(search_mod.heatmap_csv(rows), args.out_heatmap)
     if args.out_sweep is not None:

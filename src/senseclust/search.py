@@ -5,7 +5,7 @@ The search runs one task per word with gold senses; words without them are
 never clustered. A task builds each context's power-independent terms
 (embedding rows, tf-idf and chi-square values) once, and its power step
 gives the context's vectors under every power pair as stacked matmuls. One
-``cluster.cluster_points`` call, the routine behind ``cluster``, takes that
+``cluster.cluster_points`` call, as in a ``cluster`` command's task, takes that
 stack of point sets, one per power pair, and their Gram products as one
 batched product. The power pairs' dendrograms of one (linkage, metric)
 pair then run as one stacked merge loop with cached row minima, and one
@@ -200,13 +200,15 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     return SearchResult(ranked=ranked)
 
 
-def _best_ari_rows(entries, key: Callable[[SearchEntry], tuple]) -> list[tuple]:
-    """``(*key(entry), highest train ARI)`` rows, one per key, in key order."""
+def _best_ari_rows(entries, key: Callable[[SearchEntry], tuple], what: str) -> list[tuple]:
+    """``(*key(entry), highest train ARI)`` rows, in key order; ValueError if none."""
     best: dict[tuple, float] = {}
     for entry in entries:
         k = key(entry)
         if k not in best or entry.train_ari > best[k]:
             best[k] = entry.train_ari
+    if not best:
+        raise ValueError(f"no {what} in the search result")
     return [(*k, ari) for k, ari in sorted(best.items())]
 
 
@@ -216,22 +218,21 @@ def export_power_heatmap(result: SearchResult,
     """(p_tfidf, p_chi2, ari) rows, one per power combination.
 
     By default the ARI is maximized over all other grid dimensions; passing
-    ``fixed_clustering`` restricts the rows to that single clustering config.
+    ``fixed_clustering`` restricts the rows to that config, which must be in the result.
     """
     return _best_ari_rows(
         (e for e in result.ranked
          if fixed_clustering is None or e.clustering == fixed_clustering),
-        lambda e: (e.weighting.p_tfidf, e.weighting.p_chi2))
+        lambda e: (e.weighting.p_tfidf, e.weighting.p_chi2),
+        f"configuration {fixed_clustering}")
 
 
 def export_k_linkage_sweep(result: SearchResult) -> list[tuple[int, str, float]]:
     """(n_clusters, linkage, ari) rows maximized over the other dimensions."""
-    rows = _best_ari_rows(
+    return _best_ari_rows(
         (e for e in result.ranked if e.clustering.algorithm == "agglomerative"),
-        lambda e: (e.clustering.n_clusters, e.clustering.linkage))
-    if not rows:
-        raise ValueError("no agglomerative configurations in the search result")
-    return rows
+        lambda e: (e.clustering.n_clusters, e.clustering.linkage),
+        "agglomerative configurations")
 
 
 def heatmap_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -1,8 +1,10 @@
+import importlib
 import subprocess
 import sys
 
 import pytest
 
+from senseclust import cli
 from senseclust.cli import main
 from senseclust.embeddings import write_embeddings
 
@@ -100,19 +102,55 @@ def test_cluster_binary_embeddings_equivalent(workspace):
     assert (workspace / "pt.tsv").read_text() == (workspace / "pb.tsv").read_text()
 
 
-def test_cluster_jobs_do_not_change_predictions(workspace):
+def test_cluster_jobs_do_not_change_predictions(workspace, capsys):
     run_cli("build-idf", "--corpus", workspace / "corpus.txt",
             "--out", workspace / "idf.tsv")
+    # A zero vector in a graded word, and a one-context word whose k is clamped.
+    train = workspace / "train.tsv"
+    train.write_text(train.read_text(encoding="utf-8")
+                     + "z0\talphaword\t\t\t0-9\talphaword qqq\n"
+                     + "z1\tgammaword\t\t\t0-9\tgammaword rrr sss\n", encoding="utf-8")
     for algo in ("agglomerative", "affinity_propagation"):
         outputs = []
-        for jobs in ("1", "2"):
-            out = workspace / f"pred-{algo}-{jobs}.tsv"
+        for jobs in ("1", "2", "3"):
+            out, dump = (workspace / f"{kind}-{algo}-{jobs}.tsv" for kind in ("pred", "vecs"))
             assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
-                           "--dataset", workspace / "train.tsv", "--algo", algo,
+                           "--dataset", train, "--algo", algo, "--max-iter", "5",
                            "--idf", workspace / "idf.tsv", "--jobs", jobs,
-                           "--out", out) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+                           "--out", out, "--dump-vectors", dump) == 0
+            captured = capsys.readouterr()
+            outputs.append((out.read_bytes(), dump.read_bytes(), captured.out, captured.err))
+        assert outputs[0] == outputs[1] == outputs[2]
+        err = outputs[0][3]
+        assert "context 'z0': no contributing tokens, zero vector" in err
+        assert ("word 'gammaword': 1 context(s), k clamped to 1" in err) == (
+            algo == "agglomerative")
+        assert ("did not converge" in err) == (algo == "affinity_propagation")
+
+
+def test_cluster_vectorizes_and_clusters_one_word_per_task(workspace, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapper
+
+    vectorize = importlib.import_module("senseclust.vectorize")
+    for module, name in ((cli, "vectorize_word"), (cli, "cluster_points"),
+                         (vectorize, "vectorize_dataset")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # The CLI has no other name to reach either.
+    assert not hasattr(cli, "vectorize_dataset") and not hasattr(cli, "cluster")
+    assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
+                   "--dataset", workspace / "train.tsv", "--p-tfidf", "0",
+                   "--p-chi2", "2", "--jobs", "2", "--out", workspace / "pred.tsv") == 0
+    words = sorted(args[1] for name, args in calls if name == "vectorize_word")
+    assert words == ["alphaword", "betaword"]
+    stacks = [args for name, args in calls if name == "cluster_points"]
+    assert [(stack.shape[:2], len(cfgs)) for stack, cfgs in stacks] == [((1, 20), 1)] * 2
+    assert "vectorize_dataset" not in [name for name, _ in calls]
 
 
 def test_jobs_below_one_and_seed_are_usage_errors(workspace):
@@ -383,6 +421,30 @@ def test_grid_search_cli(workspace, capsys):
     for line in fixed[1:]:
         pt, pc, a = line.split(",")
         assert float(a) <= maxed[(pt, pc)] + 1e-9
+
+
+@pytest.mark.parametrize("space, flag, argv", [
+    ("linkages = average\nk_grid = 3..4\n", "--heatmap-view default",
+     ("--out-heatmap", "heat.csv", "--heatmap-view", "default")),
+    ("algorithms = affinity_propagation\ndamping_grid = 0.9\n", "--heatmap-view default",
+     ("--out-heatmap", "heat.csv", "--heatmap-view", "default")),
+    ("algorithms = affinity_propagation\n", "--out-sweep", ("--out-sweep", "sweep.csv")),
+], ids=["average-k3-4", "ap-damping-0.9", "ap-sweep"])
+def test_grid_search_output_the_space_cannot_fill_fails_before_the_search(
+        workspace, capsys, space, flag, argv):
+    run_cli("build-idf", "--corpus", workspace / "corpus.txt",
+            "--out", workspace / "idf.tsv")
+    (workspace / "space.cfg").write_text("power_grid = 1\n" + space, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("grid-search", "--embeddings", workspace / "emb.txt",
+                   "--dataset", workspace / "train.tsv", "--idf", workspace / "idf.tsv",
+                   "--space", workspace / "space.cfg",
+                   "--out-ranked", workspace / "ranked.csv",
+                   *(workspace / a if a.endswith(".csv") else a for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workspace / 'space.cfg'}: {flag} ")
+    assert not any((workspace / name).exists()
+                   for name in ("ranked.csv", "heat.csv", "sweep.csv"))
 
 
 def test_grid_search_jobs_do_not_change_outputs(workspace, capsys):

@@ -365,6 +365,10 @@ def test_heatmap_fixed_config_view(default_grid_result):
     assert len(rows) == 36
     maxed = dict(((pt, pc), a) for pt, pc, a in export_power_heatmap(default_grid_result))
     assert all(a <= maxed[(pt, pc)] + 1e-12 for pt, pc, a in rows)
+    # A config the search did not run has no row at all, not an empty heatmap.
+    with pytest.raises(ValueError, match="no configuration"):
+        export_power_heatmap(default_grid_result, fixed_clustering=ClusteringConfig(
+            algorithm="affinity_propagation", damping=0.9))
 
 
 def test_k_linkage_sweep(default_grid_result):
