@@ -1,7 +1,7 @@
 """Word sense induction by clustering weighted embedding averages of contexts."""
 
 from .cluster import (ClusteringConfig, ClusterResult, affinity_propagation,
-                      agglomerative, cluster, dendrogram, pairwise_distances)
+                      agglomerative, dendrogram, pairwise_distances)
 from .dataset import ContextInstance, Dataset, parse_dataset, write_predictions
 from .embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
                          load_frequency_table, norm_frequency_report,
@@ -25,7 +25,7 @@ __all__ = [
     "FrequencyTable", "IdfTable", "Labeling", "SearchResult", "SearchSpace",
     "Stemmer", "TranslationRecord", "WeightingConfig", "affinity_propagation",
     "agglomerative", "ari", "build_chi2", "build_idf", "chi2_statistic",
-    "cluster", "confusion_matrix", "dendrogram", "evaluate",
+    "confusion_matrix", "dendrogram", "evaluate",
     "exclude_target", "export_k_linkage_sweep", "export_power_heatmap",
     "grid_search", "label_by_translation", "load_embeddings",
     "load_frequency_table", "norm_frequency_report", "parse_dataset",

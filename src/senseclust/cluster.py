@@ -168,19 +168,21 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     return cluster(points, cfg).merge_trace
 
 
-def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+def merge_sequence(D: np.ndarray, linkage: str
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``dendrogram``'s merges from its distance matrix D, which is consumed:
-    squared euclidean for ward, the linkage's metric otherwise."""
+    squared euclidean for ward, the linkage's metric otherwise. The merges
+    come back as ``(n - 1,)`` arrays of a, b and distance."""
     m = D.shape[0]
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(m, dtype=np.int64)
-    slot = list(range(m))  # original index of each row, ascending
-    merges: list[tuple[int, int, float]] = []
-    for active in range(m, 1, -1):
+    slot = np.arange(m)  # original index of each row, ascending
+    merged = (np.empty(m - 1, dtype=np.intp), np.empty(m - 1, dtype=np.intp),
+              np.empty(m - 1))
+    for step, active in enumerate(range(m, 1, -1)):
         if m >= _REBUILD_FLOOR and 4 * (m - active) >= m:
             keep = np.flatnonzero(sizes)
-            D, sizes, m = D[np.ix_(keep, keep)], sizes[keep], active
-            slot = [slot[i] for i in keep]
+            D, sizes, slot, m = D[np.ix_(keep, keep)], sizes[keep], slot[keep], active
         # Row-major argmin implements the lowest-(a, b) tie rule because rows
         # are in ascending slot order and each active slot is its cluster's
         # minimum original index.
@@ -188,7 +190,7 @@ def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
         if a > b:
             a, b = b, a
         dist = float(D[a, b])
-        merges.append((slot[a], slot[b], dist))
+        merged[0][step], merged[1][step], merged[2][step] = slot[a], slot[b], dist
         # Lance-Williams on the whole rows: each retired slot, and a and b
         # themselves, is inf in D[a] or D[b] and every coefficient is
         # positive, so it stays inf without a mask.
@@ -212,7 +214,7 @@ def merge_sequence(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
         sizes[b] = 0
         D[b, :] = np.inf
         D[:, b] = np.inf
-    return merges
+    return merged
 
 
 def merge_sequences(D: np.ndarray, linkage: str
@@ -291,21 +293,27 @@ def merge_sequences(D: np.ndarray, linkage: str
 
 def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
                   ks: Sequence[int]) -> list[np.ndarray]:
-    """``cut_merges_at`` of every set of ``merge_sequences``' output: one
-    ``(B, n)`` array of labels per k, from one replay of all the merges.
+    """Every set's labels after its first n - k merges, for each k: one
+    ``(B, n)`` array per k, from one pass over the ``(n - 1, B)`` merges
+    that ``merge_sequences`` returns. Clusters are numbered by their lowest
+    original index, ascending.
 
-    ``rep`` holds each point's cluster's lowest original index; a cluster's
-    label is the rank of that index among the clusters' own.
+    ``rep`` maps each point to its root, its cluster's lowest index. A
+    merge of roots a < b points b at a. After s more merges no point is
+    more than s + 1 pointers from its root, so ``s.bit_length()`` pointer
+    jumps reach every root.
     """
     if not all(1 <= k <= n for k in ks):
         raise ValueError(f"cluster counts must be in 1..{n}, got {list(ks)}")
     first, second, _ = merged
-    rep = np.tile(np.arange(n), (first.shape[1], 1))
+    sets = np.arange(first.shape[1])[:, None]
+    rep = np.tile(np.arange(n), (len(sets), 1))
     cuts: dict[int, np.ndarray] = {}
     done = 0
     for step in sorted({n - k for k in ks}):
-        for a, b in zip(first[done:step], second[done:step]):
-            np.copyto(rep, a[:, None], where=rep == b[:, None])
+        rep[sets, second[done:step].T] = first[done:step].T
+        for _ in range((step - done).bit_length()):
+            rep = np.take_along_axis(rep, rep, axis=1)
         done = step
         ranks = np.cumsum(rep == np.arange(n), axis=1, dtype=np.int64) - 1
         cuts[n - step] = np.take_along_axis(ranks, rep, axis=1)
@@ -313,31 +321,12 @@ def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
 
 
 def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
-    """Labels after applying the first n-k merges.
+    """Labels after applying the first n-k merges of a ``merge_trace``.
 
     Clusters are numbered by ascending minimum original index.
     """
-    return cut_merges_at(merges, n, [k])[0]
-
-
-def cut_merges_at(merges: list[tuple[int, int, float]], n: int, ks: Sequence[int]
-                  ) -> list[np.ndarray]:
-    """``[cut_merges(merges, n, k) for k in ks]`` from one replay of the merges."""
-    if not all(1 <= k <= n for k in ks):
-        raise ValueError(f"cluster counts must be in 1..{n}, got {list(ks)}")
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    cuts: dict[int, np.ndarray] = {}
-    done = 0
-    for step in sorted({n - k for k in ks}):
-        for a, b, _ in merges[done:step]:
-            members[a].extend(members[b])
-            del members[b]
-        done = step
-        labels = np.empty(n, dtype=np.int64)
-        for label, rep in enumerate(sorted(members)):
-            labels[members[rep]] = label
-        cuts[n - step] = labels
-    return [cuts[k] for k in ks]
+    pairs = np.array([m[:2] for m in merges], dtype=np.intp).reshape(-1, 2)
+    return cut_sequences((pairs[:, :1], pairs[:, 1:], None), n, [k])[0][0]
 
 
 def agglomerative(points, cfg: ClusteringConfig) -> ClusterResult:
@@ -475,17 +464,18 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     products hold no more floats than the points; numpy computes each item
     with the same BLAS call as ``X @ X.T``. The agglomerative configs of a
     (linkage, metric) pair share each point set's distance matrix, merge
-    sequence and replay of the merges; each k is clamped to n.
+    sequence and cut of the merges; each k is clamped to n.
 
-    There are two merge kernels with the same merges. A chunk of at least
-    ``_STACK_FLOOR`` point sets writes a group's distance matrices into one
-    ``(chunk, n, n)`` buffer, reused by every group, and runs
-    ``merge_sequences`` and ``cut_sequences`` once on the stack; the buffer
-    holds no more floats than the chunk's Gram products. A shallower chunk
-    runs ``merge_sequence`` and ``cut_merges_at`` per point set, which is
-    faster there. AP's similarities are built once per point set, in the
-    Gram product's buffer after every merge sequence of its chunk, whatever
-    the order of cfgs.
+    There are two merge loops with the same merges, chosen by chunk depth.
+    A chunk of at least ``_STACK_FLOOR`` point sets writes a group's
+    distance matrices into one ``(chunk, n, n)`` buffer, reused by every
+    group, and runs ``merge_sequences`` once on the stack; the buffer holds
+    no more floats than the chunk's Gram products. A shallower chunk runs
+    ``merge_sequence`` per point set, which is faster there, and stacks the
+    merges into the same ``(n - 1, chunk)`` arrays. Either way one
+    ``cut_sequences`` call cuts every k of a group's chunk. AP's
+    similarities are built once per point set, in the Gram product's buffer
+    after every merge sequence of its chunk, whatever the order of cfgs.
     """
     stack = np.ascontiguousarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1] == 0:
@@ -512,14 +502,14 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
                 for s, (X, gram) in enumerate(zip(part, grams)):
                     D[s] = gram_distances(X, gram, kind)
                 merged = merge_sequences(D, linkage)
-                # Each set's merges as (a, b, distance) tuples, as merge_sequence's.
-                traces = [list(zip(*m)) for m in zip(*(x.T.tolist() for x in merged))]
-                cuts = zip(*cut_sequences(merged, n, ks))
             else:
                 # Unnamed, the distances do not outlive the merge sequence.
-                traces = [merge_sequence(gram_distances(X, gram, kind), linkage)
-                          for X, gram in zip(part, grams)]
-                cuts = (cut_merges_at(merges, n, ks) for merges in traces)
+                merged = [np.stack(m, axis=1) for m in zip(*(
+                    merge_sequence(gram_distances(X, gram, kind), linkage)
+                    for X, gram in zip(part, grams)))]
+            # Each set's merges as (a, b, distance) tuples.
+            traces = [list(zip(*m)) for m in zip(*(x.T.tolist() for x in merged))]
+            cuts = zip(*cut_sequences(merged, n, ks))
             for result, merges, labels_at in zip(results, traces, cuts):
                 for i, k, labels in zip(members, ks, labels_at):
                     result[i] = ClusterResult(labels=labels, k=k,

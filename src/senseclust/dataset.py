@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 from .errors import DataError, line_message, read_lines
 from .text import exclude_target, matches_target_form, normalize_token, strip_punct, tokenize
+
+if TYPE_CHECKING:
+    from .evaluate import Labeling
 
 REQUIRED_COLUMNS = ("context_id", "word", "gold_sense_id", "predict_sense_id",
                     "positions", "context")
@@ -124,13 +127,10 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
                    raw_rows=raw_rows, warnings=flags)
 
 
-def write_predictions(dataset: Dataset, labels, out: str | Path) -> None:
-    """Re-emit the dataset TSV with predict_sense_id filled from ``labels``.
-
-    ``labels`` is a Labeling or a plain context_id -> label mapping covering
-    every instance; row order and all other columns are preserved.
-    """
-    assignments: Mapping[str, str] = getattr(labels, "assignments", labels)
+def write_predictions(dataset: Dataset, labels: Labeling, out: str | Path) -> None:
+    """Re-emit the dataset TSV with predict_sense_id filled from ``labels``,
+    which covers every instance; row order and all other columns are kept."""
+    assignments = labels.assignments
     for inst in dataset.instances:
         if inst.context_id not in assignments:
             raise ValueError(f"no label for context_id {inst.context_id!r}")

@@ -8,10 +8,11 @@ gives the context's vectors under every power pair as stacked matmuls. One
 ``cluster.cluster_points`` call, as in a ``cluster`` command's task, takes that
 stack of point sets, one per power pair, and their Gram products as one
 batched product. The power pairs' dendrograms of one (linkage, metric)
-pair then run as one stacked merge loop with cached row minima, and one
-replay of their merges cuts every k. It yields each power pair's labelings under every
-clustering config, which are scored against the gold senses with one
-contingency table and then dropped. A config's
+pair then run as one stacked merge loop with cached row minima (a chunk
+below ``cluster._STACK_FLOOR`` point sets runs the per-set loop), and one
+pass over all their merges cuts every k, whichever loop ran. It yields each
+power pair's labelings under every clustering config, which are scored
+against the gold senses with one contingency table and then dropped. A config's
 train ARI combines the per-word scores in gold word order, so it is the
 same float for any worker count. Results are ranked by train ARI
 descending with ties broken by ascending config serialization.
@@ -148,24 +149,15 @@ class SearchResult:
 
 def serialize_config(clustering: ClusteringConfig, weighting: WeightingConfig) -> str:
     """Canonical single-line form; also the deterministic tie-break key."""
+    fields = {"algorithm": clustering.algorithm, "p_chi2": repr(weighting.p_chi2),
+              "p_tfidf": repr(weighting.p_tfidf)}
     if clustering.algorithm == "agglomerative":
-        fields = {
-            "algorithm": clustering.algorithm,
-            "k": str(clustering.n_clusters),
-            "linkage": clustering.linkage,
-            "metric": clustering.metric,
-            "p_chi2": repr(weighting.p_chi2),
-            "p_tfidf": repr(weighting.p_tfidf),
-        }
+        fields.update(k=str(clustering.n_clusters), linkage=clustering.linkage,
+                      metric=clustering.metric)
     else:
-        fields = {
-            "algorithm": clustering.algorithm,
-            "damping": repr(clustering.damping),
-            "p_chi2": repr(weighting.p_chi2),
-            "p_tfidf": repr(weighting.p_tfidf),
-            "preference": ("auto" if clustering.preference is None
-                           else repr(clustering.preference)),
-        }
+        fields.update(damping=repr(clustering.damping),
+                      preference=("auto" if clustering.preference is None
+                                  else repr(clustering.preference)))
     return " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
 
 

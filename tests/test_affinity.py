@@ -1,10 +1,10 @@
-import importlib
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import senseclust.cluster as cluster_module
 from senseclust.cluster import (ClusteringConfig, _ap_messages, affinity_propagation,
                                 pairwise_distances)
 
@@ -115,16 +115,13 @@ def test_identical_points_get_identical_similarity_rows():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 200)) * rng.uniform(0.5, 3.0, size=(30, 1))
     X = np.vstack([X, X[:10]])  # row 30 + i copies row i
-    # ``senseclust.cluster`` is the package's ``cluster()`` function, which
-    # shadows the submodule of the same name.
-    module = importlib.import_module("senseclust.cluster")
-    propagate, seen = module.propagate, []
+    propagate, seen = cluster_module.propagate, []
 
     def recording(S, cfg):
         seen.append(S.copy())  # before the preference fills the diagonal
         return propagate(S, cfg)
 
-    with mock.patch.object(module, "propagate", recording):
+    with mock.patch.object(cluster_module, "propagate", recording):
         res = affinity_propagation(X, ap_cfg())
     [S] = seen
     assert np.array_equal(S[30:], S[:10])

@@ -1,4 +1,3 @@
-import importlib
 import warnings
 from unittest import mock
 
@@ -7,16 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import senseclust.cluster as cluster_module
 from senseclust.cluster import (ClusteringConfig, agglomerative, cluster,
-                                cluster_points, cut_merges, cut_merges_at,
-                                cut_sequences, dendrogram, gram_matrix,
-                                merge_sequence, merge_sequences, pairwise_distances)
+                                cluster_points, cut_merges, cut_sequences,
+                                dendrogram, gram_matrix, merge_sequence,
+                                merge_sequences, pairwise_distances)
 
 from oracles import naive_agglomerative, partitions_equal
-
-# ``senseclust.cluster`` is the package's ``cluster()`` function, which
-# shadows the submodule of the same name.
-cluster_module = importlib.import_module("senseclust.cluster")
 
 ALL_COMBOS = [("ward", "euclidean"),
               ("average", "euclidean"), ("average", "manhattan"), ("average", "cosine"),
@@ -180,9 +176,41 @@ def test_a_stack_equals_one_call_per_point_set(stack):
 @example(np.repeat(LATTICE, 16, axis=0))  # chunks of 16 * 2 // 16 = 2 point sets
 def test_a_stack_equals_one_call_per_point_set_when_every_chunk_is_stacked(stack):
     # A stack of one stays below the floor, so every chunk of two or more
-    # point sets is compared with the per-set merge loop and replay.
+    # point sets is compared with the per-set merge loop.
     with mock.patch.object(cluster_module, "_STACK_FLOOR", 2):
         assert_stack_equals_one_call_per_point_set(stack)
+
+
+# (count, n, d): one chunk of 1, one chunk of 12, and chunks of
+# max(1, 12 * 4 // 6) = 8 and 4 point sets.
+@pytest.mark.parametrize("shape", [(1, 6, 4), (12, 6, 6), (12, 6, 4)])
+def test_one_cut_per_group_and_chunk_whichever_merge_loop_ran(shape):
+    count, n, dim = shape
+    stack = np.round(np.random.default_rng(14).normal(size=shape), 1)
+    calls = {"merge_sequence": [], "merge_sequences": [], "cut_sequences": []}
+
+    def counting(name, depth):
+        kernel = getattr(cluster_module, name)
+
+        def wrapper(*args):
+            calls[name].append(depth(args[0]))
+            return kernel(*args)
+        return wrapper
+
+    with mock.patch.multiple(
+            cluster_module,
+            merge_sequence=counting("merge_sequence", lambda D: 1),
+            merge_sequences=counting("merge_sequences", len),
+            cut_sequences=counting("cut_sequences", lambda merged: merged[0].shape[1])):
+        list(cluster_points(stack, EVERY_CONFIG))
+    chunk = max(1, count * dim // n)
+    depths = [min(chunk, count - lo) for lo in range(0, count, chunk)]
+    groups = len(ALL_COMBOS)
+    assert calls["cut_sequences"] == [d for d in depths for _ in range(groups)]
+    assert calls["merge_sequences"] == [d for d in depths for _ in range(groups)
+                                        if d >= cluster_module._STACK_FLOOR]
+    assert len(calls["merge_sequence"]) == groups * sum(
+        d for d in depths if d < cluster_module._STACK_FLOOR)
 
 
 METRIC_KINDS = ("sqeuclidean", "euclidean", "manhattan", "cosine")
@@ -209,16 +237,19 @@ def test_merge_sequences_equal_one_merge_sequence_per_matrix(stack, draws):
     for metric in METRIC_KINDS:
         D = np.stack([pairwise_distances(X, metric) for X in stack])
         for linkage in ("ward", "average", "complete"):
-            want = [merge_sequence(d.copy(), linkage) for d in D]
+            arrays = [merge_sequence(d.copy(), linkage) for d in D]
+            want = [list(zip(*(m.tolist() for m in a))) for a in arrays]
             merged = merge_sequences(D.copy(), linkage)
             assert [m.shape for m in merged] == [(n - 1, count)] * 3
+            assert [m.dtype for m in merged] == [m.dtype for m in arrays[0]]
             for b in range(count):
                 got = zip(*(m[:, b].tolist() for m in merged))
                 assert merge_bits(got) == merge_bits(want[b]), (metric, linkage, b)
             cuts = cut_sequences(merged, n, ks)
             assert [c.shape for c in cuts] == [(count, n)] * len(ks)
             for b in range(count):
-                for labels, expected in zip(cuts, cut_merges_at(want[b], n, ks)):
+                for k, labels in zip(ks, cuts):
+                    expected = _replay_cut(want[b], n, k)
                     assert labels.dtype == expected.dtype
                     assert np.array_equal(labels[b], expected), (metric, linkage, b)
 
@@ -331,7 +362,8 @@ def test_cut_merges_prefix_consistency():
 
 
 def _replay_cut(merges, n, k):
-    """One cut from a fresh replay, as cut_merges did before cut_merges_at."""
+    """One cut from a fresh replay of a list of merges: the reference for
+    ``cut_sequences``."""
     members = {i: [i] for i in range(n)}
     for a, b, _ in merges[: n - k]:
         members[a].extend(members[b])
@@ -342,21 +374,29 @@ def _replay_cut(merges, n, k):
     return labels
 
 
-def test_cut_merges_at_replays_once_for_every_k():
+def test_cut_sequences_equals_a_fresh_replay_for_every_k():
     rng = np.random.default_rng(12)
-    for trial in range(30):
-        n = int(rng.integers(1, 40))
-        pts = rng.normal(size=(n, 3))
-        linkage = ("ward", "average", "complete")[trial % 3]
-        merges = dendrogram(pts, linkage, "euclidean")
+    # Gaps that halve to the right merge leftwards in one chain, so that the
+    # last point ends up n - 1 pointers from its root.
+    chain = np.cumsum(0.5 ** np.arange(16))[:, None]
+    for trial in range(31):
+        pts = chain if trial == 30 else rng.normal(size=(int(rng.integers(1, 40)), 3))
+        n = len(pts)
+        # One set per linkage: a stack of three dendrograms of the same points.
+        traces = [dendrogram(pts, linkage, "euclidean")
+                  for linkage in ("ward", "average", "complete")]
+        pairs = np.array([[m[:2] for m in t] for t in traces], dtype=np.intp)
+        pairs = pairs.reshape(3, n - 1, 2).T  # (2, n - 1, 3): a and b, step, set
+        merged = (pairs[0], pairs[1], None)  # the cut reads no distance
         ks = [int(k) for k in rng.integers(1, n + 1, size=int(rng.integers(1, 20)))]
-        cuts = cut_merges_at(merges, n, ks)
+        cuts = cut_sequences(merged, n, ks)
         assert len(cuts) == len(ks)
         for k, labels in zip(ks, cuts):
-            expected = _replay_cut(merges, n, k)
-            assert labels.dtype == expected.dtype
-            assert np.array_equal(labels, expected), (trial, k)
-            assert np.array_equal(cut_merges(merges, n, k), expected)
+            for b, merges in enumerate(traces):
+                expected = _replay_cut(merges, n, k)
+                assert labels.dtype == expected.dtype
+                assert np.array_equal(labels[b], expected), (trial, k, b)
+                assert np.array_equal(cut_merges(merges, n, k), expected)
 
 
 def test_cut_merges_rejects_k_outside_one_to_n():
@@ -365,11 +405,10 @@ def test_cut_merges_rejects_k_outside_one_to_n():
     merged = merge_sequences(pairwise_distances(points, "euclidean")[None], "average")
     for ks in ([0], [5], [2, 5]):
         with pytest.raises(ValueError, match="1..4"):
-            cut_merges_at(merges, 4, ks)
-        with pytest.raises(ValueError, match="1..4"):
             cut_sequences(merged, 4, ks)
-    with pytest.raises(ValueError):
-        cut_merges(merges, 4, 0)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="1..4"):
+            cut_merges(merges, 4, k)
 
 
 def test_cosine_zero_vector_distance():

@@ -6,11 +6,13 @@ module raises powers with numpy, and no module changes the process-wide
 warning filters, the BLAS thread count or the environment."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import senseclust
+import senseclust.cluster as cluster_module
 
 PACKAGE = Path(senseclust.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -134,15 +136,18 @@ def test_no_module_changes_the_warning_filters():
 
 # What ``cluster.cluster_points`` runs a clustering with.
 CLUSTERING_KERNELS = ("gram_matrix", "gram_distances", "merge_sequence",
-                      "merge_sequences", "cut_merges_at", "cut_sequences",
-                      "propagate")
+                      "merge_sequences", "cut_sequences", "propagate")
 
 
 def test_only_the_cluster_module_calls_the_clustering_kernels():
     # ``cluster_points`` is the one dispatch on the algorithm and states each
     # clustering rule once: ward on squared euclidean distances, AP on their
     # negatives, k clamped to the point count. A kernel called elsewhere
-    # would state them a second time.
+    # would state them a second time. A name the module no longer defines
+    # would guard nothing.
+    tree = ast.parse((PACKAGE / "cluster.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [name for name in CLUSTERING_KERNELS if name not in defined] == []
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "cluster.py":
@@ -152,6 +157,12 @@ def test_only_the_cluster_module_calls_the_clustering_kernels():
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and (name := _called_name(node)) in CLUSTERING_KERNELS]
     assert offenders == []
+
+
+def test_the_cluster_submodule_is_not_shadowed():
+    # The package exports no name of a submodule, so ``import ... as`` and
+    # ``monkeypatch.setattr`` reach the module.
+    assert inspect.ismodule(cluster_module)
 
 
 # Modules that reach into a BLAS library, and ``os`` names for the environment.

@@ -1,4 +1,3 @@
-import importlib
 import re
 import warnings
 from concurrent import futures
@@ -6,6 +5,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+import senseclust.cluster as cluster_module
 from senseclust.cluster import (ClusteringConfig, agglomerative, cluster, gram_matrix,
                                 merge_sequences)
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
@@ -223,9 +223,6 @@ def gram_sizes(monkeypatch):
         sizes.append(X.shape[:2])
         return gram_matrix(X)
 
-    # ``senseclust.cluster`` is the package's ``cluster()`` function, which
-    # shadows the submodule of the same name.
-    cluster_module = importlib.import_module("senseclust.cluster")
     monkeypatch.setattr(cluster_module, "gram_matrix", counting)
     return sizes
 
@@ -263,7 +260,6 @@ def test_one_and_two_context_words_rank_the_same_on_either_merge_loop(monkeypatc
     # sends them through the per-set loop. No operation on the inf of a
     # retired row may warn or raise a floating-point error.
     dataset, model = _mixed_words_dataset(words=[("лук", 1, True), ("ключ", 2, True)])
-    cluster_module = importlib.import_module("senseclust.cluster")
     stacks = []
 
     def recording(D, linkage):
