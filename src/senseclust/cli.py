@@ -2,15 +2,19 @@
 diagnostics, and translation-based labeling.
 
 Exit codes: 0 success, 1 usage error (bad flags or constraint violations),
-2 data error (missing or malformed input files). Each task of ``cluster`` and
-``grid-search`` vectorizes and clusters one word, so all outputs are
-deterministic functions of the flags and the input files, whatever --jobs is.
+2 data error (missing or malformed input files). Each task of ``grid-search``
+vectorizes and clusters one word. ``cluster`` runs two passes of one task per
+word: it vectorizes every word, then clusters each word's vectors, so that
+OpenBLAS's helper thread, woken by each Gram product, does not spin through
+the vectorizing. All outputs are deterministic functions of the flags and the
+input files, whatever --jobs is.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster_po
 from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
-from .errors import DataError, read_lines
+from .errors import DataError, MissingLabel, read_lines
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate
 from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
                        read_translations)
@@ -167,6 +171,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _blaming(path, error: type[Exception] = ValueError):
+    """Report an ``error`` raised inside as a DataError about the file ``path``."""
+    try:
+        yield
+    except error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -178,7 +191,9 @@ def _emit(text: str, out: Path | None) -> None:
 def cmd_build_idf(args) -> int:
     docs = (tokenize(line) for path in args.corpus
             for _, line in read_lines(path) if not line.isspace())
-    write_idf_tsv(build_idf(docs), args.out)
+    with _blaming(", ".join(map(str, args.corpus))):  # only blank lines
+        idf = build_idf(docs)
+    write_idf_tsv(idf, args.out)
     return 0
 
 
@@ -222,14 +237,14 @@ def cmd_cluster(args) -> int:
     idf = read_idf_tsv(args.idf) if args.idf is not None else IdfTable(n_docs=1, df={})
     chi2 = _chi2_table(args.chi2, dataset)
 
-    def cluster_word(word: str):
-        """The word's context vectors, ``(n, d)``, and their clustering."""
-        stack = vectorize_word(dataset, word, model, idf, chi2, [wcfg])
-        return stack[0], next(cluster_points(stack, [ccfg]))[0]
-
+    # Vectorize every word, then cluster each: see the module docstring.
     words = list(dataset.by_target)
+    stacks = parallel_map(lambda word: vectorize_word(dataset, word, model, idf,
+                                                      chi2, [wcfg]), words, args.jobs)
+    results = parallel_map(lambda stack: next(cluster_points(stack, [ccfg]))[0],
+                           stacks, args.jobs)
     assignments, vectors = {}, {}
-    for word, (X, result) in zip(words, parallel_map(cluster_word, words, args.jobs)):
+    for word, (X,), result in zip(words, stacks, results):
         ids = [dataset.instances[i].context_id for i in dataset.by_target[word]]
         for cid in compress(ids, ~X.any(axis=1)):
             _warn(f"context {cid!r}: no contributing tokens, zero vector")
@@ -259,7 +274,8 @@ def cmd_evaluate(args) -> int:
     id_col = pred.header.index("context_id")
     assignments = {row[id_col]: row[pred_col]
                    for row in pred.raw_rows if row[pred_col] != ""}
-    report = evaluate(gold, Labeling(assignments))
+    with _blaming(args.gold), _blaming(args.pred, MissingLabel):
+        report = evaluate(gold, Labeling(assignments))
     if args.confusion_dir is not None:
         args.confusion_dir.mkdir(parents=True, exist_ok=True)
         for word, idxs in gold.by_target.items():
@@ -323,7 +339,9 @@ def cmd_mt_label(args) -> int:
     records = read_translations(args.translations)
     labeling = label_by_translation(records, Stemmer(algorithm=args.stemmer))
     if args.dataset is not None:
-        write_predictions(_read_dataset(args.dataset), labeling, args.out)
+        dataset = _read_dataset(args.dataset)
+        with _blaming(args.translations, MissingLabel):
+            write_predictions(dataset, labeling, args.out)
     else:
         text = "".join(f"{cid}\t{label}\n"
                        for cid, label in sorted(labeling.assignments.items()))

@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DataError, line_message, read_lines
+from .errors import DataError, MissingLabel, line_message, read_lines
 from .text import exclude_target, matches_target_form, normalize_token, strip_punct, tokenize
 
 if TYPE_CHECKING:
@@ -133,7 +133,7 @@ def write_predictions(dataset: Dataset, labels: Labeling, out: str | Path) -> No
     assignments = labels.assignments
     for inst in dataset.instances:
         if inst.context_id not in assignments:
-            raise ValueError(f"no label for context_id {inst.context_id!r}")
+            raise MissingLabel(f"no label for context_id {inst.context_id!r}")
     pred_col = dataset.header.index("predict_sense_id")
     id_col = dataset.header.index("context_id")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

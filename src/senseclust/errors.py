@@ -1,4 +1,4 @@
-"""Shared exception type, the one reader of text input files (``read_lines``)
+"""Shared exception types, the one reader of text input files (``read_lines``)
 and the one form of a message about an input line (``line_message``)."""
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ class DataError(Exception):
     """Malformed or inconsistent input data (files, tables, records)."""
 
 
+class MissingLabel(ValueError):
+    """A labeling lacks a context that it must label."""
+
+
 def line_message(path: str | Path, lineno: int, message: object) -> str:
     return f"{path}: line {lineno}: {message}"
 
@@ -19,9 +23,10 @@ class read_lines:
     """The non-empty lines of a UTF-8 text file, as ``(lineno, line)`` pairs.
 
     Lines are numbered from 1 and lose their ``\\n`` or ``\\r\\n`` ending; a
-    lone ``\\r`` is not a line break. The file is streamed in binary and
-    decoded a line at a time, so memory stays flat and a byte sequence that
-    is not UTF-8 is reported on its own line.
+    lone ``\\r`` is not a line break. One byte-order mark (U+FEFF) at the
+    start of line 1 is dropped; anywhere else it is data. The file is
+    streamed in binary and decoded a line at a time, so memory stays flat
+    and a byte sequence that is not UTF-8 is reported on its own line.
 
     Used as a context manager around the loop, it reports a ValueError
     raised inside -- a syntax error found by a reader or a value rule of a
@@ -40,6 +45,8 @@ class read_lines:
                 except UnicodeDecodeError:
                     raise DataError(line_message(self.path, lineno,
                                                  "not valid UTF-8")) from None
+                if lineno == 1:
+                    line = line.removeprefix("\ufeff")
                 line = line.removesuffix("\n").removesuffix("\r")
                 if line:
                     self.lineno = lineno

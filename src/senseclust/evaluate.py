@@ -7,6 +7,8 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import MissingLabel
+
 if TYPE_CHECKING:
     from .dataset import Dataset
 
@@ -110,7 +112,7 @@ def evaluate(dataset: Dataset, labels: Labeling) -> EvalReport:
         for j in keep:
             cid = dataset.instances[dataset.by_target[target][j]].context_id
             if cid not in labels.assignments:
-                raise ValueError(f"gold-labeled context {cid!r} has no prediction")
+                raise MissingLabel(f"gold-labeled context {cid!r} has no prediction")
             pred.append(labels.assignments[cid])
         per_word[target] = (ari_codes(codes, np.array(_canonical_partition(pred))),
                             len(codes))

@@ -128,7 +128,7 @@ def test_cluster_jobs_do_not_change_predictions(workspace, capsys):
         assert ("did not converge" in err) == (algo == "affinity_propagation")
 
 
-def test_cluster_vectorizes_and_clusters_one_word_per_task(workspace, monkeypatch):
+def test_cluster_vectorizes_every_word_then_clusters_each(workspace, monkeypatch):
     calls = []
 
     def counting(name, fn):
@@ -143,14 +143,17 @@ def test_cluster_vectorizes_and_clusters_one_word_per_task(workspace, monkeypatc
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     # The CLI has no other name to reach either.
     assert not hasattr(cli, "vectorize_dataset") and not hasattr(cli, "cluster")
-    assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
-                   "--dataset", workspace / "train.tsv", "--p-tfidf", "0",
-                   "--p-chi2", "2", "--jobs", "2", "--out", workspace / "pred.tsv") == 0
-    words = sorted(args[1] for name, args in calls if name == "vectorize_word")
-    assert words == ["alphaword", "betaword"]
-    stacks = [args for name, args in calls if name == "cluster_points"]
-    assert [(stack.shape[:2], len(cfgs)) for stack, cfgs in stacks] == [((1, 20), 1)] * 2
-    assert "vectorize_dataset" not in [name for name, _ in calls]
+    for jobs in ("1", "2"):
+        calls.clear()
+        assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
+                       "--dataset", workspace / "train.tsv", "--p-tfidf", "0",
+                       "--p-chi2", "2", "--jobs", jobs, "--out", workspace / "pred.tsv") == 0
+        names = [name for name, _ in calls]
+        assert names == ["vectorize_word"] * 2 + ["cluster_points"] * 2
+        words = sorted(args[1] for name, args in calls if name == "vectorize_word")
+        assert words == ["alphaword", "betaword"]
+        stacks = [args for name, args in calls if name == "cluster_points"]
+        assert [(stack.shape[:2], len(cfgs)) for stack, cfgs in stacks] == [((1, 20), 1)] * 2
 
 
 def test_jobs_below_one_and_seed_are_usage_errors(workspace):
@@ -531,6 +534,49 @@ def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno)
     assert run_cli(*argv, flag, path) == 2  # the last --flag given wins
     err = capsys.readouterr().err
     assert f"{path}: line {lineno}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--pred", "--translations", "--corpus"])
+def test_missing_label_or_empty_corpus_names_the_file(inputs, capsys, flag):
+    ws = inputs[flag][1].parent
+    train, bad = ws / "train.tsv", ws / "bad.txt"
+    rows = inputs["--pred"][1].read_text(encoding="utf-8").splitlines(True)
+    cid = rows[1].split("\t")[0]
+    if flag == "--pred":  # the first context's prediction left empty
+        rows[1] = "\t".join(f if i != 3 else "" for i, f in enumerate(rows[1].split("\t")))
+        bad.write_text("".join(rows), encoding="utf-8")
+        argv = ("evaluate", "--gold", train, "--pred", bad)
+        message = f"{bad}: gold-labeled context {cid!r} has no prediction"
+    elif flag == "--translations":  # no row for the first context
+        lines = inputs[flag][1].read_text(encoding="utf-8").splitlines(True)
+        bad.write_text("".join(lines[1:]), encoding="utf-8")
+        argv = ("mt-label", "--translations", bad, "--dataset", train, "--out", ws / "out.txt")
+        message = f"{bad}: no label for context_id {cid!r}"
+    else:  # blank lines only, in every corpus file
+        bad.write_text("\n \t \n\n", encoding="utf-8")
+        argv = ("build-idf", "--corpus", bad, bad, "--out", ws / "out.txt")
+        message = f"{bad}, {bad}: document stream is empty"
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws / "out.txt").exists()
+
+
+def test_byte_order_mark_is_dropped_from_text_inputs(inputs, capsys):
+    ws = inputs["--dataset"][1].parent
+    outputs = []
+    for name in ("plain", "marked"):
+        paths = {}
+        for flag in ("--embeddings", "--dataset", "--idf"):
+            valid = inputs[flag][1]
+            paths[flag] = ws / f"{name}-{valid.name}"
+            paths[flag].write_bytes((b"\xef\xbb\xbf" if name == "marked" else b"")
+                                    + valid.read_bytes())
+        out = ws / f"{name}-pred.tsv"
+        assert run_cli("cluster", *(a for flag in paths for a in (flag, paths[flag])),
+                       "--out", out) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag", TEXT_INPUTS)

@@ -22,3 +22,15 @@ def test_errors_name_file_and_line(tmp_path):
     path.write_bytes(b"ok\n\xe1\xe0\xed\xea\n")  # cp1251, not UTF-8
     with pytest.raises(DataError, match="in.txt: line 2: not valid UTF-8"):
         list(read_lines(path))
+
+
+def test_byte_order_mark_only_at_the_start_of_line_1_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes("a\ufeff\n\ufeffb\n".encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert list(read_lines(marked)) == list(read_lines(plain)) == [
+        (1, "a\ufeff"), (2, "\ufeffb")]
+    marked.write_bytes("\ufeff\ufeff\n".encode("utf-8"))  # only one mark is dropped
+    assert list(read_lines(marked)) == [(1, "\ufeff")]
+    marked.write_bytes("\ufeff\r\nx\n".encode("utf-8"))  # a line of only a mark is blank
+    assert list(read_lines(marked)) == [(2, "x")]
