@@ -3,11 +3,11 @@ diagnostics, and translation-based labeling.
 
 Exit codes: 0 success, 1 usage error (bad flags or constraint violations),
 2 data error (missing or malformed input files). Each task of ``grid-search``
-vectorizes and clusters one word. ``cluster`` runs two passes of one task per
-word: it vectorizes every word, then clusters each word's vectors, so that
-OpenBLAS's helper thread, woken by each Gram product, does not spin through
-the vectorizing. All outputs are deterministic functions of the flags and the
-input files, whatever --jobs is.
+vectorizes and clusters one word. ``cluster`` vectorizes every word on the
+calling thread with ``vectorize_dataset``, then clusters the words on up to
+--jobs threads, so that OpenBLAS's helper thread, woken by each Gram product,
+does not spin through the vectorizing. All outputs are deterministic
+functions of the flags and the input files, whatever --jobs is.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
 from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
                      parse_space_file, serialize_config)
 from .text import tokenize
-from .vectorize import dump_vectors, vectorize_word
+from .vectorize import dump_vectors, vectorize_dataset
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
                         build_idf, read_chi2_tsv, read_idf_tsv, write_chi2_tsv,
                         write_idf_tsv)
@@ -54,14 +54,21 @@ def _at_least(low: int):
     return integer
 
 
-def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="parallel workers across words/configurations (default: 1)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="senseclust",
                      description="Word sense induction toolkit")
+    # The flags that several commands share, each declared once.
+    embeddings = argparse.ArgumentParser(add_help=False)
+    embeddings.add_argument("--embeddings", type=Path, required=True)
+    embeddings.add_argument("--format", choices=FORMATS, default="text",
+                            help="embedding file format (default: text)")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[embeddings])
+    inputs.add_argument("--dataset", type=Path, required=True)
+    inputs.add_argument("--chi2", type=Path, default=None,
+                        help="chi2 cache TSV from build-chi2 "
+                             "(default: computed from the dataset)")
+    inputs.add_argument("--jobs", type=_at_least(1), default=1,
+                        help="parallel workers across words/configurations (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -76,11 +83,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="output chi2 TSV")
     p.set_defaults(func=cmd_build_chi2)
 
-    p = sub.add_parser("cluster", help="cluster contexts and write predictions")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=FORMATS, default="text",
-                   help="embedding file format (default: text)")
-    p.add_argument("--dataset", type=Path, required=True)
+    p = sub.add_parser("cluster", parents=[inputs],
+                       help="cluster contexts and write predictions")
     p.add_argument("--algo", choices=ALGORITHMS, default="agglomerative",
                    help="clustering algorithm (default: agglomerative)")
     p.add_argument("--k", type=int, default=2,
@@ -105,12 +109,9 @@ def build_parser() -> _Parser:
                    help="chi-square power exponent (default: 1.0)")
     p.add_argument("--idf", type=Path, default=None,
                    help="idf cache TSV from build-idf (required unless --p-tfidf 0)")
-    p.add_argument("--chi2", type=Path, default=None,
-                   help="chi2 cache TSV from build-chi2 (default: computed from the dataset)")
     p.add_argument("--out", type=Path, required=True, help="predictions TSV")
     p.add_argument("--dump-vectors", type=Path, default=None,
                    help="optional TSV dump of the context vectors")
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("evaluate", help="score predictions against gold senses")
@@ -121,14 +122,9 @@ def build_parser() -> _Parser:
                    help="optional directory for per-word confusion CSVs")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grid-search", help="exhaustive hyperparameter search")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=FORMATS, default="text",
-                   help="embedding file format (default: text)")
-    p.add_argument("--dataset", type=Path, required=True)
+    p = sub.add_parser("grid-search", parents=[inputs],
+                       help="exhaustive hyperparameter search")
     p.add_argument("--idf", type=Path, required=True, help="idf cache TSV")
-    p.add_argument("--chi2", type=Path, default=None,
-                   help="chi2 cache TSV (default: computed from the dataset)")
     p.add_argument("--space", type=Path, default=None,
                    help="key=value search space file (default: full default grids)")
     p.add_argument("--out-ranked", type=Path, required=True,
@@ -140,14 +136,10 @@ def build_parser() -> _Parser:
     p.add_argument("--heatmap-view", choices=("max", "default"), default="max",
                    help="heatmap cell = max over other dimensions, or the "
                         "default clustering config only (default: max)")
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("norm-report",
+    p = sub.add_parser("norm-report", parents=[embeddings],
                        help="norm-vs-frequency diagnostic sample of the vocabulary")
-    p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument("--format", choices=FORMATS, default="text",
-                   help="embedding file format (default: text)")
     p.add_argument("--freqs", type=Path, required=True,
                    help="word<TAB>count frequency TSV")
     p.add_argument("--sample-size", type=_at_least(1), default=1000,
@@ -238,14 +230,11 @@ def cmd_cluster(args) -> int:
     chi2 = _chi2_table(args.chi2, dataset)
 
     # Vectorize every word, then cluster each: see the module docstring.
-    words = list(dataset.by_target)
-    stacks = parallel_map(lambda word: vectorize_word(dataset, word, model, idf,
-                                                      chi2, [wcfg]), words, args.jobs)
-    results = parallel_map(lambda stack: next(cluster_points(stack, [ccfg]))[0],
-                           stacks, args.jobs)
+    by_word = vectorize_dataset(dataset, model, idf, chi2, wcfg)
+    results = parallel_map(lambda X: next(cluster_points(X[None], [ccfg]))[0],
+                           [X for _, X in by_word.values()], args.jobs)
     assignments, vectors = {}, {}
-    for word, (X,), result in zip(words, stacks, results):
-        ids = [dataset.instances[i].context_id for i in dataset.by_target[word]]
+    for (word, (ids, X)), result in zip(by_word.items(), results):
         for cid in compress(ids, ~X.any(axis=1)):
             _warn(f"context {cid!r}: no contributing tokens, zero vector")
         if ccfg.algorithm == "agglomerative" and result.k < ccfg.n_clusters:
@@ -350,19 +339,14 @@ def cmd_mt_label(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

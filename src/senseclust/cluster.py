@@ -168,6 +168,25 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     return cluster(points, cfg).merge_trace
 
 
+def _lance_williams(linkage: str, Da, Db, sa, sb, sizes, dist) -> None:
+    """Overwrite Da, cluster a's distances, with those of the union of a and
+    b (sizes sa and sb, at distance dist) under the linkage: the one update
+    of both merge loops, so that their merges agree bit for bit."""
+    if linkage == "complete":
+        np.maximum(Da, Db, out=Da)
+    elif linkage == "average":
+        Da *= sa
+        Db *= sb
+        Da += Db
+        Da /= sa + sb
+    else:  # ward
+        Da *= sa + sizes
+        Db *= sb + sizes
+        Da += Db
+        Da -= sizes * dist
+        Da /= sa + sb + sizes
+
+
 def merge_sequence(D: np.ndarray, linkage: str
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``dendrogram``'s merges from its distance matrix D, which is consumed:
@@ -195,22 +214,9 @@ def merge_sequence(D: np.ndarray, linkage: str
         # themselves, is inf in D[a] or D[b] and every coefficient is
         # positive, so it stays inf without a mask.
         Da, Db = D[a], D[b]
-        sa, sb = sizes[a], sizes[b]
-        if linkage == "complete":
-            np.maximum(Da, Db, out=Da)
-        elif linkage == "average":
-            Da *= sa
-            Db *= sb
-            Da += Db
-            Da /= sa + sb
-        else:  # ward
-            Da *= sa + sizes
-            Db *= sb + sizes
-            Da += Db
-            Da -= sizes * dist
-            Da /= sa + sb + sizes
+        _lance_williams(linkage, Da, Db, sizes[a], sizes[b], sizes, dist)
         D[:, a] = Da
-        sizes[a] += sb
+        sizes[a] += sizes[b]
         sizes[b] = 0
         D[b, :] = np.inf
         D[:, b] = np.inf
@@ -252,25 +258,12 @@ def merge_sequences(D: np.ndarray, linkage: str
         b = cols[sets, a]
         dist = mins[sets, a]
         merged[0][step], merged[1][step], merged[2][step] = a, b, dist
-        # Lance-Williams on whole rows, element for element as merge_sequence.
         Da, Db = D[sets, a], D[sets, b]
-        sa, sb = sizes[sets, a][:, None], sizes[sets, b][:, None]
-        if linkage == "complete":
-            np.maximum(Da, Db, out=Da)
-        elif linkage == "average":
-            Da *= sa
-            Db *= sb
-            Da += Db
-            Da /= sa + sb
-        else:  # ward
-            Da *= sa + sizes
-            Db *= sb + sizes
-            Da += Db
-            Da -= sizes * dist[:, None]
-            Da /= sa + sb + sizes
+        _lance_williams(linkage, Da, Db, sizes[sets, a][:, None],
+                        sizes[sets, b][:, None], sizes, dist[:, None])
         D[sets, a] = Da
         D[sets, :, a] = Da
-        sizes[sets, a] += sb[:, 0]
+        sizes[sets, a] += sizes[sets, b]
         sizes[sets, b] = 0
         D[sets, b] = np.inf
         D[sets, :, b] = np.inf

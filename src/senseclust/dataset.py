@@ -75,9 +75,10 @@ def _parse_positions(raw: str, context: str) -> list[tuple[int, int]]:
 def parse_dataset(path: str | Path, report_to=None) -> Dataset:
     """Parse a dataset TSV; rows with suspicious spans are kept but flagged.
 
-    The first non-empty line is the header. Flag messages are collected on
-    the returned Dataset's ``warnings``, and also written to ``report_to``
-    when it is given.
+    The first non-empty line is the header; it must name each required
+    column exactly once. Flag messages are collected on the returned
+    Dataset's ``warnings``, and also written to ``report_to`` when it is
+    given.
     """
     path = Path(path)
     instances: list[ContextInstance] = []
@@ -95,6 +96,8 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
         for name in REQUIRED_COLUMNS:
             if name not in col:
                 raise ValueError(f"missing column {name!r}")
+            if header.count(name) > 1:  # else the last copy would win unseen
+                raise ValueError(f"repeated column {name!r}")
         for lineno, line in rows:
             row = line.split("\t")
             if len(row) != len(header):

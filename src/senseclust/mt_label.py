@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import read_lines, split_fields
 from .evaluate import Labeling
 from .porter import porter_stem
+from .text import normalize_token
 
 STEMMER_ALGORITHMS = ("identity", "porter")
 
@@ -44,8 +45,9 @@ class Stemmer:
 
 
 def normalize_translation(text: str, stemmer: Stemmer) -> str:
-    """Lowercase, then stem token-wise; spacing is preserved verbatim."""
-    return " ".join(stemmer.stem(part) for part in text.lower().split(" "))
+    """NFC-normalize and lowercase each token (``normalize_token``), then
+    stem it; spacing is preserved verbatim."""
+    return " ".join(stemmer.stem(normalize_token(part)) for part in text.split(" "))
 
 
 def label_by_translation(records: Sequence[TranslationRecord],

@@ -9,9 +9,9 @@ Only the power weight depends on the weighting config, so vectorizing is
 split in two: ``context_terms`` (embedding rows, tf-idf and chi-square of
 ``ContextInstance.kept``, built once per context) and ``power_step`` (each
 value raised once per distinct exponent, then the weighted averages of all
-configs as stacked matmuls). ``vectorize``, ``vectorize_dataset`` and
-``vectorize_word``, called once per word by ``cluster`` and ``grid-search``
-tasks, all take this one path.
+configs as stacked matmuls). ``vectorize``, ``vectorize_dataset`` (which
+``cluster`` calls) and ``vectorize_word`` (called once per word by it and by
+``grid-search`` tasks) all take this one path.
 """
 
 from __future__ import annotations

@@ -133,27 +133,29 @@ def test_cluster_vectorizes_every_word_then_clusters_each(workspace, monkeypatch
 
     def counting(name, fn):
         def wrapper(*args):
-            calls.append((name, args))
-            return fn(*args)
+            result = fn(*args)
+            calls.append((name, args, result))
+            return result
         return wrapper
 
-    vectorize = importlib.import_module("senseclust.vectorize")
-    for module, name in ((cli, "vectorize_word"), (cli, "cluster_points"),
-                         (vectorize, "vectorize_dataset")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("vectorize_dataset", "cluster_points"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     # The CLI has no other name to reach either.
-    assert not hasattr(cli, "vectorize_dataset") and not hasattr(cli, "cluster")
+    assert not hasattr(cli, "vectorize_word") and not hasattr(cli, "cluster")
     for jobs in ("1", "2"):
         calls.clear()
         assert run_cli("cluster", "--embeddings", workspace / "emb.txt",
                        "--dataset", workspace / "train.tsv", "--p-tfidf", "0",
                        "--p-chi2", "2", "--jobs", jobs, "--out", workspace / "pred.tsv") == 0
-        names = [name for name, _ in calls]
-        assert names == ["vectorize_word"] * 2 + ["cluster_points"] * 2
-        words = sorted(args[1] for name, args in calls if name == "vectorize_word")
-        assert words == ["alphaword", "betaword"]
-        stacks = [args for name, args in calls if name == "cluster_points"]
-        assert [(stack.shape[:2], len(cfgs)) for stack, cfgs in stacks] == [((1, 20), 1)] * 2
+        # One vectorize_dataset call, on every word before any clustering.
+        assert [name for name, _, _ in calls] == ["vectorize_dataset"] + ["cluster_points"] * 2
+        by_word = calls[0][2]
+        assert sorted(by_word) == ["alphaword", "betaword"]
+        stacks = [args for _, args, _ in calls[1:]]
+        for ids, X in by_word.values():  # one (1, 20, d) stack and config per word
+            assert len(ids) == 20
+            assert sum(stack.shape == (1, 20, X.shape[1]) and (stack[0] == X).all()
+                       and len(cfgs) == 1 for stack, cfgs in stacks) == 1
 
 
 def test_jobs_below_one_and_seed_are_usage_errors(workspace):
@@ -368,9 +370,16 @@ def test_help_lists_defaults(capsys):
                    "default: 0.5", "default: auto", "default: 200",
                    "default: 15", "default: agglomerative"):
         assert needle in text
+    chi2 = "chi2 cache TSV from build-chi2 (default: computed from the dataset)"
+    for command in ("cluster", "grid-search"):  # the flags they share
+        assert run_cli(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert chi2 in text
+        assert "parallel workers across words/configurations (default: 1)" in text
     assert run_cli("norm-report", "--help") == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "default: 1000" in text and "default: 0" in text
+    assert "embedding file format (default: text)" in text
 
 
 def test_norm_report(workspace):
@@ -518,6 +527,8 @@ def inputs(workspace):
     ("--chi2", "t\tw\t-3\n", 1),
     ("--chi2", "t\tw\tlots\n", 1),
     ("--translations", "c1\tjar\nc2\tjar\n\nc1\tbank\n", 4),
+    ("--gold", "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\t"
+               "context\tgold_sense_id\nc1\tbank\t1\t\t0-4\tbank here\t\n", 1),
 ] + [(flag, NOT_UTF8, 3) for flag in TEXT_INPUTS])  # the valid file, a bad byte on line 3
 def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno):
     argv, valid = inputs[flag]

@@ -1,3 +1,4 @@
+import re
 import sys
 import unicodedata
 
@@ -60,6 +61,15 @@ def test_missing_column(tmp_path):
     path = make_tsv(tmp_path, ["c1\tбанк\t1\t0-4\tбанк тут"],
                     header="context_id\tword\tgold_sense_id\tpositions\tcontext")
     with pytest.raises(DataError, match="predict_sense_id"):
+        parse_dataset(path)
+
+
+def test_repeated_column_names_the_header_line(tmp_path):
+    # A second, empty gold_sense_id column would silently drop the gold senses.
+    path = make_tsv(tmp_path, ["c1\tбанк\t1\t\t0-4\tбанк тут\t"],
+                    header=HEADER + "\tgold_sense_id")
+    with pytest.raises(DataError,
+                       match=re.escape(f"{path}: line 1: repeated column 'gold_sense_id'")):
         parse_dataset(path)
 
 

@@ -1,9 +1,10 @@
+import unicodedata
 from pathlib import Path
 
 import pytest
 
 from senseclust.errors import DataError
-from senseclust.mt_label import (Stemmer, TranslationRecord,
+from senseclust.mt_label import (STEMMER_ALGORITHMS, Stemmer, TranslationRecord,
                                  label_by_translation, normalize_translation,
                                  read_translations)
 from senseclust.porter import porter_stem
@@ -119,6 +120,16 @@ def test_lowercased_before_grouping():
     labeling = label_by_translation(
         [rec("c1", "Bank"), rec("c2", "bank")], Stemmer("identity"))
     assert labeling.assignments["c1"] == labeling.assignments["c2"] == "bank"
+
+
+@pytest.mark.parametrize("algorithm", STEMMER_ALGORITHMS)
+def test_nfc_and_nfd_translations_share_a_label(algorithm):
+    nfc = "café banks"
+    nfd = unicodedata.normalize("NFD", nfc)
+    assert nfd != nfc
+    labeling = label_by_translation([rec("c1", nfc), rec("c2", nfd)], Stemmer(algorithm))
+    assert labeling.assignments["c1"] == labeling.assignments["c2"]
+    assert unicodedata.is_normalized("NFC", labeling.assignments["c1"])
 
 
 def test_empty_translations_error():
