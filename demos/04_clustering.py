@@ -22,10 +22,9 @@ for linkage in ("ward", "average", "complete"):
     sizes = np.bincount(res.labels)
     print(f"agglomerative {linkage:<8} -> cluster sizes {sizes.tolist()}")
 
-cfg = sc.ClusteringConfig(algorithm="agglomerative", n_clusters=2, linkage="ward")
-res = sc.agglomerative(X[:6], cfg)
-print("\nmerge trace on 6 points (a, b, distance):")
-for a, b, d in res.merge_trace:
+# The first n - k merges are the k-cluster result.
+print("\nward merge trace on 6 points (a, b, distance):")
+for a, b, d in sc.dendrogram(X[:6], "ward"):
     print(f"  merged clusters {a} and {b} at {d:.4f}")
 
 ap_cfg = sc.ClusteringConfig(algorithm="affinity_propagation", damping=0.5)

@@ -299,7 +299,8 @@ def cmd_grid_search(args) -> int:
                             f"{fixed.algorithm} config")
     if args.out_sweep is not None and "agglomerative" not in space.algorithms:
         raise DataError(f"{args.space}: --out-sweep needs agglomerative configs")
-    result = grid_search(dataset, model, idf, chi2, space, jobs=args.jobs)
+    with _blaming(args.dataset):  # a dataset without gold senses
+        result = grid_search(dataset, model, idf, chi2, space, jobs=args.jobs)
     _emit(search_mod.ranked_csv(result), args.out_ranked)
     if args.out_heatmap is not None:
         rows = search_mod.export_power_heatmap(result, fixed_clustering=fixed)

@@ -65,7 +65,6 @@ class ClusterResult:
     k: int
     exemplars: list[int] | None = None
     converged: bool | None = None
-    merge_trace: list[tuple[int, int, float]] | None = None
     jitter_applied: bool = False
 
 
@@ -156,16 +155,11 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     makes the sequence deterministic. For ward linkage the recorded distance
     is the Lance-Williams value on the squared-euclidean scale (initialized
     to ||x_i - x_j||^2 between singletons).
-
-    A merge retires row b (inf row and column, size 0). Once a quarter of a
-    matrix of at least ``_REBUILD_FLOOR`` rows is retired, the matrix is
-    rebuilt from its active rows, so the scans cost about the active count
-    squared. Rows stay in ascending original index (``slot``), every update
-    sees the same operands as on the full matrix, and merges are recorded in
-    original indices: the result is bitwise that of the full-matrix loop.
     """
-    cfg = ClusteringConfig(linkage=linkage, metric=metric, n_clusters=1)
-    return cluster(points, cfg).merge_trace
+    ClusteringConfig(linkage=linkage, metric=metric)  # checks the linkage and metric
+    stack = _point_stack(np.asarray(points)[None])
+    grams = [None] if metric == "manhattan" else gram_matrix(stack)
+    return list(zip(*(m[:, 0].tolist() for m in _merges(stack, grams, linkage, metric))))
 
 
 def _lance_williams(linkage: str, Da, Db, sa, sb, sizes, dist) -> None:
@@ -191,7 +185,14 @@ def merge_sequence(D: np.ndarray, linkage: str
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``dendrogram``'s merges from its distance matrix D, which is consumed:
     squared euclidean for ward, the linkage's metric otherwise. The merges
-    come back as ``(n - 1,)`` arrays of a, b and distance."""
+    come back as ``(n - 1,)`` arrays of a, b and distance.
+
+    A merge retires row b (inf row and column, size 0). Once a quarter of a
+    matrix of at least ``_REBUILD_FLOOR`` rows is retired, it is rebuilt from
+    its active rows, in ascending original index (``slot``), so the scans
+    cost about the active count squared. Every update sees the same operands
+    as on the full matrix: the merges are bitwise the full-matrix loop's.
+    """
     m = D.shape[0]
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(m, dtype=np.int64)
@@ -313,11 +314,25 @@ def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     return [cuts[k] for k in ks]
 
 
-def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
-    """Labels after applying the first n-k merges of a ``merge_trace``.
+def _merges(part: np.ndarray, grams, linkage: str, metric: str, buffer=None) -> tuple:
+    """A chunk's merges from its Gram products, as ``(n - 1, B)`` arrays;
+    ward merges squared euclidean distances. From ``_STACK_FLOOR`` point
+    sets, ``merge_sequences`` runs on their distances in ``buffer``; a
+    shallower chunk runs the faster ``merge_sequence`` per set."""
+    kind = "sqeuclidean" if linkage == "ward" else metric
+    if len(part) >= _STACK_FLOOR:
+        for s, (X, gram) in enumerate(zip(part, grams)):
+            buffer[s] = gram_distances(X, gram, kind)
+        return merge_sequences(buffer[:len(part)], linkage)
+    # Unnamed, the distances do not outlive the merge sequence.
+    return tuple(np.stack(m, axis=1) for m in zip(*(
+        merge_sequence(gram_distances(X, gram, kind), linkage)
+        for X, gram in zip(part, grams))))
 
-    Clusters are numbered by ascending minimum original index.
-    """
+
+def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
+    """Labels after the first n - k merges of a ``dendrogram``; clusters are
+    numbered by their lowest original index, ascending."""
     pairs = np.array([m[:2] for m in merges], dtype=np.intp).reshape(-1, 2)
     return cut_sequences((pairs[:, :1], pairs[:, 1:], None), n, [k])[0][0]
 
@@ -446,6 +461,13 @@ def cluster(points, cfg: ClusteringConfig) -> ClusterResult:
     return next(cluster_points(np.asarray(points)[None], [cfg]))[0]
 
 
+def _point_stack(stack) -> np.ndarray:
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] == 0:
+        raise ValueError("each point set must be a non-empty 2-D array")
+    return stack
+
+
 def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
                    ) -> Iterator[list[ClusterResult]]:
     """Yield ``[cluster(points, cfg) for cfg in cfgs]`` for each point set of
@@ -456,23 +478,13 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     per chunk of ``max(1, B * d // n)`` point sets, so that a chunk's
     products hold no more floats than the points; numpy computes each item
     with the same BLAS call as ``X @ X.T``. The agglomerative configs of a
-    (linkage, metric) pair share each point set's distance matrix, merge
-    sequence and cut of the merges; each k is clamped to n.
-
-    There are two merge loops with the same merges, chosen by chunk depth.
-    A chunk of at least ``_STACK_FLOOR`` point sets writes a group's
-    distance matrices into one ``(chunk, n, n)`` buffer, reused by every
-    group, and runs ``merge_sequences`` once on the stack; the buffer holds
-    no more floats than the chunk's Gram products. A shallower chunk runs
-    ``merge_sequence`` per point set, which is faster there, and stacks the
-    merges into the same ``(n - 1, chunk)`` arrays. Either way one
-    ``cut_sequences`` call cuts every k of a group's chunk. AP's
-    similarities are built once per point set, in the Gram product's buffer
-    after every merge sequence of its chunk, whatever the order of cfgs.
+    (linkage, metric) pair share one ``_merges`` call and one
+    ``cut_sequences`` call per chunk; each k is clamped to n, and the merges
+    are ``dendrogram(points, linkage, metric)[:n - k]``. AP's similarities
+    are built in the Gram product's buffer after every merge sequence of its
+    chunk, whatever the order of cfgs.
     """
-    stack = np.ascontiguousarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1] == 0:
-        raise ValueError("each point set must be a non-empty 2-D array")
+    stack = _point_stack(stack)
     groups: dict[tuple[str, str] | None, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         key = (cfg.linkage, cfg.metric) if cfg.algorithm == "agglomerative" else None
@@ -488,25 +500,11 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
         grams = gram_matrix(part) if needs_gram else [None] * len(part)
         results = [[None] * len(cfgs) for _ in part]
         for (linkage, metric), members in groups.items():
-            kind = "sqeuclidean" if linkage == "ward" else metric
             ks = [min(cfgs[i].n_clusters, n) for i in members]
-            if len(part) >= _STACK_FLOOR:
-                D = buffer[:len(part)]
-                for s, (X, gram) in enumerate(zip(part, grams)):
-                    D[s] = gram_distances(X, gram, kind)
-                merged = merge_sequences(D, linkage)
-            else:
-                # Unnamed, the distances do not outlive the merge sequence.
-                merged = [np.stack(m, axis=1) for m in zip(*(
-                    merge_sequence(gram_distances(X, gram, kind), linkage)
-                    for X, gram in zip(part, grams)))]
-            # Each set's merges as (a, b, distance) tuples.
-            traces = [list(zip(*m)) for m in zip(*(x.T.tolist() for x in merged))]
-            cuts = zip(*cut_sequences(merged, n, ks))
-            for result, merges, labels_at in zip(results, traces, cuts):
+            merged = _merges(part, grams, linkage, metric, buffer)
+            for result, labels_at in zip(results, zip(*cut_sequences(merged, n, ks))):
                 for i, k, labels in zip(members, ks, labels_at):
-                    result[i] = ClusterResult(labels=labels, k=k,
-                                              merge_trace=merges[:n - k])
+                    result[i] = ClusterResult(labels=labels, k=k)
         for X, gram, result in zip(part, grams, results):
             if ap_configs:  # similarity is negative squared euclidean distance
                 similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),

@@ -66,7 +66,6 @@ class ContextTerms:
     its embedding row, tf-idf and chi-square value.
     """
 
-    context_id: str
     rows: np.ndarray
     tfidf: list[float]
     chi2: list[float]
@@ -83,7 +82,7 @@ def context_terms(instance: ContextInstance, model: EmbeddingModel, idf: IdfTabl
             rows.append(row)
             tfidf_w.append(tf[tok] * idf.idf(tok))
             chi2_w.append(chi2.value(instance.target, tok))
-    return ContextTerms(instance.context_id, np.array(rows, dtype=np.intp), tfidf_w, chi2_w)
+    return ContextTerms(np.array(rows, dtype=np.intp), tfidf_w, chi2_w)
 
 
 def power_step(terms: ContextTerms, model: EmbeddingModel,

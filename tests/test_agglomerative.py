@@ -28,7 +28,9 @@ def test_well_separated_pairs_ward():
     pts = np.array([[0, 0], [0, 1], [10, 0], [10, 1]], float)
     res = agglomerative(pts, cfg(2))
     assert list(res.labels) == [0, 0, 1, 1]
-    assert len(res.merge_trace) == 2
+    merges = dendrogram(pts, "ward")
+    assert len(merges) == 3
+    assert list(cut_merges(merges[:2], 4, 2)) == [0, 0, 1, 1]
 
 
 def test_boundary_k():
@@ -72,7 +74,6 @@ def assert_same_results(got, want, where=None):
         assert a.labels.dtype == b.labels.dtype, where
         assert np.array_equal(a.labels, b.labels), where
         assert a.k == b.k, where
-        assert a.merge_trace == b.merge_trace, where
         assert a.exemplars == b.exemplars, where
         assert a.converged == b.converged, where
         assert a.jitter_applied == b.jitter_applied, where
@@ -256,6 +257,14 @@ def test_merge_sequences_equal_one_merge_sequence_per_matrix(stack, draws):
 
 DUPLICATED = np.random.default_rng(5).normal(size=(60, 200)) * np.linspace(0.5, 3, 60)[:, None]
 DUPLICATED = np.vstack([DUPLICATED, DUPLICATED[:20]])  # row 60 + i copies row i
+# DUPLICATED with every seventh row zero (an all-OOV context), and 260 rows,
+# past the rebuild floor: 200 distinct rows, 40 copies and 20 zero rows,
+# shuffled.
+ZEROED = DUPLICATED.copy()
+ZEROED[::7] = 0.0
+MIXED = np.random.default_rng(15).normal(size=(260, 200)) * np.linspace(0.5, 3, 260)[:, None]
+MIXED[200:240], MIXED[240:] = MIXED[:40], 0.0
+MIXED = MIXED[np.random.default_rng(16).permutation(260)]
 
 
 @pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
@@ -268,7 +277,7 @@ def test_duplicates_merge_first_at_zero_in_index_order(linkage, metric):
 def test_single_point():
     res = agglomerative(np.array([[1.0, 2.0]]), cfg(1))
     assert list(res.labels) == [0]
-    assert res.merge_trace == []
+    assert dendrogram(np.array([[1.0, 2.0]]), "ward") == []
 
 
 @pytest.mark.parametrize("linkage,metric", ALL_COMBOS)
@@ -288,8 +297,7 @@ def test_merge_trace_nondecreasing_complete():
     rng = np.random.default_rng(5)
     for metric in ("euclidean", "manhattan", "cosine"):
         pts = rng.uniform(size=(25, 4))
-        res = agglomerative(pts, cfg(1, "complete", metric))
-        dists = [d for _, _, d in res.merge_trace]
+        dists = [d for _, _, d in dendrogram(pts, "complete", metric)]
         assert dists == sorted(dists)
 
 
@@ -298,17 +306,18 @@ def test_merge_trace_nondecreasing_on_oracle_instances(linkage):
     rng = np.random.default_rng(6)
     for _ in range(10):
         pts = rng.uniform(size=(20, 3))
-        res = agglomerative(pts, cfg(1, linkage))
-        dists = [d for _, _, d in res.merge_trace]
+        dists = [d for _, _, d in dendrogram(pts, linkage)]
         assert dists == sorted(dists)
 
 
 def test_trace_length_and_label_surjection():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(20, 3))
+    merges = dendrogram(pts, "ward")
+    assert len(merges) == 19
     for k in (1, 3, 7, 14):
         res = agglomerative(pts, cfg(k))
-        assert len(res.merge_trace) == 20 - k
+        assert np.array_equal(cut_merges(merges[:20 - k], 20, k), res.labels)
         assert set(res.labels) == set(range(k))
 
 
@@ -341,7 +350,7 @@ def test_deterministic():
     r1 = agglomerative(pts, cfg(4, "complete", "manhattan"))
     r2 = agglomerative(pts, cfg(4, "complete", "manhattan"))
     assert list(r1.labels) == list(r2.labels)
-    assert r1.merge_trace == r2.merge_trace
+    assert dendrogram(pts, "complete", "manhattan") == dendrogram(pts, "complete", "manhattan")
 
 
 def test_tie_break_lowest_index_pair():
@@ -352,13 +361,24 @@ def test_tie_break_lowest_index_pair():
 
 
 def test_cut_merges_prefix_consistency():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(12, 3))
-    merges = dendrogram(pts, "average", "euclidean")
-    for k in range(1, 13):
-        via_cut = cut_merges(merges, 12, k)
-        direct = agglomerative(pts, cfg(k, "average")).labels
-        assert list(via_cut) == list(direct)
+    # A dendrogram cut at k equals agglomerative's labels and those of a
+    # stack of 16 copies. At d = 200 that is one chunk of 16 at n = 80 (the
+    # stacked merge loop), and chunks of 16 * 200 // 260 = 12 and 4 at
+    # n = 260 (both loops).
+    assert 4 < cluster_module._STACK_FLOOR <= 12
+    small = np.random.default_rng(11).normal(size=(12, 3))
+    cases = [(small, "average", "euclidean", range(1, 13))] + [
+        (points, linkage, metric, (1, 2, 3, 7, 14))
+        for points in (DUPLICATED, ZEROED, MIXED) for linkage, metric in ALL_COMBOS]
+    for points, linkage, metric, ks in cases:
+        merges = dendrogram(points, linkage, metric)
+        cfgs = [cfg(k, linkage, metric) for k in ks]
+        stacked = list(cluster_points(np.repeat(points[None], 16, axis=0), cfgs))
+        for i, c in enumerate(cfgs):
+            want = cut_merges(merges, len(points), c.n_clusters)
+            where = (len(points), linkage, metric, c.n_clusters)
+            assert np.array_equal(agglomerative(points, c).labels, want), where
+            assert all(np.array_equal(r[i].labels, want) for r in stacked), where
 
 
 def _replay_cut(merges, n, k):

@@ -547,7 +547,7 @@ def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno)
     assert f"{path}: line {lineno}: " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--pred", "--translations", "--corpus"])
+@pytest.mark.parametrize("flag", ["--pred", "--translations", "--corpus", "--dataset"])
 def test_missing_label_or_empty_corpus_names_the_file(inputs, capsys, flag):
     ws = inputs[flag][1].parent
     train, bad = ws / "train.tsv", ws / "bad.txt"
@@ -563,6 +563,13 @@ def test_missing_label_or_empty_corpus_names_the_file(inputs, capsys, flag):
         bad.write_text("".join(lines[1:]), encoding="utf-8")
         argv = ("mt-label", "--translations", bad, "--dataset", train, "--out", ws / "out.txt")
         message = f"{bad}: no label for context_id {cid!r}"
+    elif flag == "--dataset":  # four contexts, none with a gold sense
+        rows = [rows[0]] + ["\t".join(f if i != 2 else "" for i, f in enumerate(r.split("\t")))
+                            for r in rows[1:5]]
+        bad.write_text("".join(rows), encoding="utf-8")
+        argv = ("grid-search", "--embeddings", ws / "emb.txt", "--dataset", bad, "--idf",
+                ws / "idf.tsv", "--chi2", ws / "chi2.tsv", "--out-ranked", ws / "out.txt")
+        message = f"{bad}: grid search needs gold senses in the dataset"
     else:  # blank lines only, in every corpus file
         bad.write_text("\n \t \n\n", encoding="utf-8")
         argv = ("build-idf", "--corpus", bad, bad, "--out", ws / "out.txt")

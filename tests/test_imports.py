@@ -136,12 +136,13 @@ def test_no_module_changes_the_warning_filters():
 
 # What ``cluster.cluster_points`` runs a clustering with.
 CLUSTERING_KERNELS = ("gram_matrix", "gram_distances", "merge_sequence",
-                      "merge_sequences", "cut_sequences", "propagate")
+                      "merge_sequences", "_merges", "cut_sequences", "propagate")
 
 
 def test_only_the_cluster_module_calls_the_clustering_kernels():
-    # ``cluster_points`` is the one dispatch on the algorithm and states each
-    # clustering rule once: ward on squared euclidean distances, AP on their
+    # ``cluster_points`` is the one dispatch on the algorithm. With
+    # ``_merges`` it states each clustering rule once: ward on squared
+    # euclidean distances, the merge loop chosen by chunk depth, AP on their
     # negatives, k clamped to the point count. A kernel called elsewhere
     # would state them a second time. A name the module no longer defines
     # would guard nothing.

@@ -187,7 +187,7 @@ PAIR = synthetic.model_from_entries({"x": (1.0, 0.0), "y": (0.0, 1.0)})
 
 def pair_vector(x, y, cfg):
     """``power_step``'s vector for tokens x and y, each a (tf-idf, chi2) pair."""
-    terms = ContextTerms("c", np.array([0, 1], dtype=np.intp), [x[0], y[0]], [x[1], y[1]])
+    terms = ContextTerms(np.array([0, 1], dtype=np.intp), [x[0], y[0]], [x[1], y[1]])
     return power_step(terms, PAIR, [cfg])[0]
 
 
