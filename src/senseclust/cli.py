@@ -24,7 +24,7 @@ from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
 from .errors import DataError, MissingLabel, read_lines
-from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate
+from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate, gold_codes
 from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
                        read_translations)
 from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
@@ -258,11 +258,9 @@ def cmd_evaluate(args) -> int:
             if "/" in word or "\\" in word:
                 raise DataError(f"{args.gold}: target word {word!r} contains a "
                                 "path separator and cannot name a confusion file")
-    pred = _read_dataset(args.pred)
-    pred_col = pred.header.index("predict_sense_id")
-    id_col = pred.header.index("context_id")
-    assignments = {row[id_col]: row[pred_col]
-                   for row in pred.raw_rows if row[pred_col] != ""}
+    assignments = {inst.context_id: inst.predicted_sense
+                   for inst in _read_dataset(args.pred).instances
+                   if inst.predicted_sense is not None}
     with _blaming(args.gold), _blaming(args.pred, MissingLabel):
         report = evaluate(gold, Labeling(assignments))
     if args.confusion_dir is not None:
@@ -285,10 +283,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    model = load_embeddings(args.embeddings, fmt=args.format)
+    # What can stop the search is checked before the set-up loads anything.
     dataset = _read_dataset(args.dataset)
-    idf = read_idf_tsv(args.idf)
-    chi2 = _chi2_table(args.chi2, dataset)
+    with _blaming(args.dataset):
+        gold_codes(dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
     fixed = None
     if args.out_heatmap is not None and args.heatmap_view == "default":
@@ -299,8 +297,10 @@ def cmd_grid_search(args) -> int:
                             f"{fixed.algorithm} config")
     if args.out_sweep is not None and "agglomerative" not in space.algorithms:
         raise DataError(f"{args.space}: --out-sweep needs agglomerative configs")
-    with _blaming(args.dataset):  # a dataset without gold senses
-        result = grid_search(dataset, model, idf, chi2, space, jobs=args.jobs)
+    model = load_embeddings(args.embeddings, fmt=args.format)
+    idf = read_idf_tsv(args.idf)
+    result = grid_search(dataset, model, idf, _chi2_table(args.chi2, dataset), space,
+                         jobs=args.jobs)
     _emit(search_mod.ranked_csv(result), args.out_ranked)
     if args.out_heatmap is not None:
         rows = search_mod.export_power_heatmap(result, fixed_clustering=fixed)

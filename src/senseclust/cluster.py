@@ -314,16 +314,17 @@ def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     return [cuts[k] for k in ks]
 
 
-def _merges(part: np.ndarray, grams, linkage: str, metric: str, buffer=None) -> tuple:
+def _merges(part: np.ndarray, grams, linkage: str, metric: str) -> tuple:
     """A chunk's merges from its Gram products, as ``(n - 1, B)`` arrays;
     ward merges squared euclidean distances. From ``_STACK_FLOOR`` point
-    sets, ``merge_sequences`` runs on their distances in ``buffer``; a
-    shallower chunk runs the faster ``merge_sequence`` per set."""
+    sets, ``merge_sequences`` runs on a ``(B, n, n)`` stack of their
+    distances made here; fewer sets run the faster ``merge_sequence`` each."""
     kind = "sqeuclidean" if linkage == "ward" else metric
     if len(part) >= _STACK_FLOOR:
+        D = np.empty((len(part), part.shape[1], part.shape[1]))
         for s, (X, gram) in enumerate(zip(part, grams)):
-            buffer[s] = gram_distances(X, gram, kind)
-        return merge_sequences(buffer[:len(part)], linkage)
+            D[s] = gram_distances(X, gram, kind)
+        return merge_sequences(D, linkage)
     # Unnamed, the distances do not outlive the merge sequence.
     return tuple(np.stack(m, axis=1) for m in zip(*(
         merge_sequence(gram_distances(X, gram, kind), linkage)
@@ -478,11 +479,11 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     per chunk of ``max(1, B * d // n)`` point sets, so that a chunk's
     products hold no more floats than the points; numpy computes each item
     with the same BLAS call as ``X @ X.T``. The agglomerative configs of a
-    (linkage, metric) pair share one ``_merges`` call and one
-    ``cut_sequences`` call per chunk; each k is clamped to n, and the merges
-    are ``dendrogram(points, linkage, metric)[:n - k]``. AP's similarities
-    are built in the Gram product's buffer after every merge sequence of its
-    chunk, whatever the order of cfgs.
+    (linkage, metric) pair share one ``_merges`` call, which alone holds
+    their distances, and one ``cut_sequences`` call per chunk; each k is
+    clamped to n, and the merges are ``dendrogram(points, linkage,
+    metric)[:n - k]``. AP's similarities are built in the Gram product's
+    buffer after every merge sequence of its chunk, whatever the order of cfgs.
     """
     stack = _point_stack(stack)
     groups: dict[tuple[str, str] | None, list[int]] = {}
@@ -493,15 +494,13 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     needs_gram = bool(ap_configs) or any(m != "manhattan" for _, m in groups)
     count, n, dim = stack.shape
     chunk = max(1, count * dim // n)
-    depth = min(chunk, count)  # the first chunk is the deepest
-    buffer = np.empty((depth, n, n)) if groups and depth >= _STACK_FLOOR else None
     for lo in range(0, count, chunk):
         part = stack[lo:lo + chunk]
         grams = gram_matrix(part) if needs_gram else [None] * len(part)
         results = [[None] * len(cfgs) for _ in part]
         for (linkage, metric), members in groups.items():
             ks = [min(cfgs[i].n_clusters, n) for i in members]
-            merged = _merges(part, grams, linkage, metric, buffer)
+            merged = _merges(part, grams, linkage, metric)
             for result, labels_at in zip(results, zip(*cut_sequences(merged, n, ks))):
                 for i, k, labels in zip(members, ks, labels_at):
                     result[i] = ClusterResult(labels=labels, k=k)

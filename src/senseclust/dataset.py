@@ -32,6 +32,7 @@ class ContextInstance:
     gold_sense: str | None
     target_spans: list[tuple[int, int]]
     raw_context: str
+    predicted_sense: str | None = None
 
     @property
     def tokens(self) -> list[str]:
@@ -111,7 +112,6 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
                 raise ValueError("empty word")
             context = row[col["context"]]
             spans = _parse_positions(row[col["positions"]], context)
-            gold = row[col["gold_sense_id"]] or None
             for start, end in spans:
                 snippet = normalize_token(strip_punct(context[start:end]))
                 if not matches_target_form(snippet, target):
@@ -119,9 +119,10 @@ def parse_dataset(path: str | Path, report_to=None) -> Dataset:
                         path, lineno, f"span {start}-{end} text {snippet!r} "
                         f"does not look like a form of target {target!r}"))
             by_target.setdefault(target, []).append(len(instances))
-            instances.append(ContextInstance(context_id=context_id, target=target,
-                                             gold_sense=gold, target_spans=spans,
-                                             raw_context=context))
+            instances.append(ContextInstance(
+                context_id=context_id, target=target,
+                gold_sense=row[col["gold_sense_id"]] or None, target_spans=spans,
+                raw_context=context, predicted_sense=row[col["predict_sense_id"]] or None))
             raw_rows.append(row)
     if report_to is not None:
         for msg in flags:

@@ -25,16 +25,10 @@ def _canonical_partition(labels: Sequence[Hashable]) -> list[int]:
     return [seen.setdefault(lab, len(seen)) for lab in labels]
 
 
-def ari_codes(gold: np.ndarray, pred: np.ndarray) -> float:
-    """Adjusted Rand Index of two non-empty, equally long integer labelings.
-
-    Labels are non-negative integers; they need not be contiguous.
-    """
-    return ari_rows(gold, pred[None, :])[0]
-
-
 def ari_rows(gold: np.ndarray, preds: np.ndarray) -> list[float]:
-    """``[ari_codes(gold, pred) for pred in preds]`` for a 2-D ``preds``.
+    """The Adjusted Rand Index of ``gold`` against each row of ``preds``
+    (``pred[None]`` for one labeling): non-empty, equally long labelings by
+    non-negative integers, which need not be contiguous.
 
     The contingency tables of all rows are one ``np.bincount``; the pair
     sums are exact integers, so each row's score is that of its own table.
@@ -77,8 +71,8 @@ def ari(gold: Sequence[Hashable], pred: Sequence[Hashable]) -> float:
         raise ValueError(f"length mismatch: {len(gold)} vs {len(pred)}")
     if len(gold) == 0:
         raise ValueError("empty labelings")
-    return ari_codes(np.array(_canonical_partition(gold)),
-                     np.array(_canonical_partition(pred)))
+    return ari_rows(np.array(_canonical_partition(gold)),
+                    np.array(_canonical_partition(pred))[None])[0]
 
 
 @dataclass
@@ -114,10 +108,8 @@ def evaluate(dataset: Dataset, labels: Labeling) -> EvalReport:
             if cid not in labels.assignments:
                 raise MissingLabel(f"gold-labeled context {cid!r} has no prediction")
             pred.append(labels.assignments[cid])
-        per_word[target] = (ari_codes(codes, np.array(_canonical_partition(pred))),
+        per_word[target] = (ari_rows(codes, np.array(_canonical_partition(pred))[None])[0],
                             len(codes))
-    if not per_word:
-        raise ValueError("dataset has no gold senses to evaluate against")
     macro = sum(score for score, _ in per_word.values()) / len(per_word)
     n_excluded = sum(map(len, dataset.by_target.values())) - sum(
         n for _, n in per_word.values())
@@ -134,7 +126,8 @@ def weighted_ari(per_word: Iterable[tuple[float, int]]) -> float:
 
 def gold_codes(dataset: Dataset) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per target word with gold senses: the positions of its gold-labeled
-    contexts among the word's contexts, and those senses as integer codes."""
+    contexts among the word's contexts, and those senses as integer codes.
+    The one check that a scored dataset has gold senses: ValueError if none."""
     out = {}
     for target, idxs in dataset.by_target.items():
         senses = [dataset.instances[i].gold_sense for i in idxs]
@@ -142,6 +135,8 @@ def gold_codes(dataset: Dataset) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         if keep:
             out[target] = (np.array(keep),
                            np.array(_canonical_partition([senses[j] for j in keep])))
+    if not out:
+        raise ValueError("no context has a gold sense")
     return out
 
 

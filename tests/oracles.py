@@ -53,8 +53,12 @@ def _point_distance(a, b, metric: str) -> float:
     raise ValueError(metric)
 
 
-def naive_agglomerative(points, k: int, linkage: str, metric: str = "euclidean"):
-    """Reference bottom-up clustering recomputing distances from members.
+def naive_agglomerative(points, k: int, linkage: str, metric: str = "euclidean",
+                        labels_at: int | None = None):
+    """Reference bottom-up clustering recomputing distances from members:
+    ``(labels, merges)`` for the merges down to k clusters, with the labels
+    of the partition at k clusters, or at ``labels_at`` (at least k) when
+    given, so that one run gives a dendrogram and one of its cuts.
 
     Cluster-to-cluster distances: average = mean of all cross pair
     distances, complete = max of them, ward = 2|A||B|/(|A|+|B|) times the
@@ -90,6 +94,16 @@ def naive_agglomerative(points, k: int, linkage: str, metric: str = "euclidean")
     for a, b in combinations(reps, 2):
         cache[(a, b)] = cluster_distance(a, b)
 
+    def partition() -> np.ndarray:
+        labels = np.empty(n, dtype=np.int64)
+        for label, rep in enumerate(sorted(clusters)):
+            labels[clusters[rep]] = label
+        return labels
+
+    cut = k if labels_at is None else labels_at
+    if cut < k:
+        raise ValueError(f"labels_at {labels_at} is below k {k}")
+    labels = partition() if n <= cut else None
     merges = []
     while len(clusters) > k:
         best_pair = min(cache, key=lambda p: (cache[p], p))
@@ -103,10 +117,8 @@ def naive_agglomerative(points, k: int, linkage: str, metric: str = "euclidean")
             if other != a:
                 pair = (min(a, other), max(a, other))
                 cache[pair] = cluster_distance(*pair)
-
-    labels = np.empty(n, dtype=np.int64)
-    for label, rep in enumerate(sorted(clusters)):
-        labels[clusters[rep]] = label
+        if len(clusters) == cut:
+            labels = partition()
     return labels, merges
 
 

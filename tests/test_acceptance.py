@@ -69,13 +69,14 @@ def test_agglomerative_oracle_equivalence():
         dim = int(rng.integers(1, 9))
         pts = rng.uniform(-5, 5, size=(n, dim))
         for linkage, metric in AGGLO_COMBOS:
+            k = int(rng.integers(1, min(n, 14) + 1))
             merges = dendrogram(pts, linkage, metric)
-            _, ref_merges = naive_agglomerative(pts, 1, linkage, metric)
+            # One oracle run gives the merge order and the partition at k.
+            ref_labels, ref_merges = naive_agglomerative(pts, 1, linkage, metric,
+                                                         labels_at=k)
             assert [m[:2] for m in merges] == [m[:2] for m in ref_merges], \
                 (trial, linkage, metric)
-            k = int(rng.integers(1, min(n, 14) + 1))
             labels = cut_merges(merges, n, k)
-            ref_labels, _ = naive_agglomerative(pts, k, linkage, metric)
             assert partitions_equal(labels, ref_labels), (trial, linkage, metric)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"agglomerative oracle sweep took {elapsed:.1f}s"

@@ -547,7 +547,8 @@ def test_malformed_input_names_file_and_line(inputs, capsys, flag, text, lineno)
     assert f"{path}: line {lineno}: " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--pred", "--translations", "--corpus", "--dataset"])
+@pytest.mark.parametrize("flag", ["--pred", "--translations", "--corpus", "--dataset",
+                                  "--embeddings"])
 def test_missing_label_or_empty_corpus_names_the_file(inputs, capsys, flag):
     ws = inputs[flag][1].parent
     train, bad = ws / "train.tsv", ws / "bad.txt"
@@ -563,13 +564,17 @@ def test_missing_label_or_empty_corpus_names_the_file(inputs, capsys, flag):
         bad.write_text("".join(lines[1:]), encoding="utf-8")
         argv = ("mt-label", "--translations", bad, "--dataset", train, "--out", ws / "out.txt")
         message = f"{bad}: no label for context_id {cid!r}"
-    elif flag == "--dataset":  # four contexts, none with a gold sense
+    elif flag in ("--dataset", "--embeddings"):  # four contexts, none with a gold sense
         rows = [rows[0]] + ["\t".join(f if i != 2 else "" for i, f in enumerate(r.split("\t")))
                             for r in rows[1:5]]
         bad.write_text("".join(rows), encoding="utf-8")
-        argv = ("grid-search", "--embeddings", ws / "emb.txt", "--dataset", bad, "--idf",
-                ws / "idf.tsv", "--chi2", ws / "chi2.tsv", "--out-ranked", ws / "out.txt")
-        message = f"{bad}: grid search needs gold senses in the dataset"
+        # The check comes before the set-up: no chi2 warning, and with
+        # "--embeddings" no set-up file exists at all.
+        emb, idf = ((ws / "emb.txt", ws / "idf.tsv") if flag == "--dataset"
+                    else (ws / "missing.txt", ws / "missing.tsv"))
+        argv = ("grid-search", "--embeddings", emb, "--dataset", bad, "--idf", idf,
+                "--out-ranked", ws / "out.txt")
+        message = f"{bad}: no context has a gold sense"
     else:  # blank lines only, in every corpus file
         bad.write_text("\n \t \n\n", encoding="utf-8")
         argv = ("build-idf", "--corpus", bad, bad, "--out", ws / "out.txt")

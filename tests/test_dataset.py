@@ -176,6 +176,9 @@ def test_write_predictions_round_trip(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert "c1\tбанк\t1\t0\t0-4\tбанк выдал кредит" in text
     back = parse_dataset(out)
+    # An empty predict_sense_id reads as None, like an empty gold_sense_id.
+    assert [inst.predicted_sense for inst in ds.instances] == [None, None]
+    assert [inst.predicted_sense for inst in back.instances] == ["0", "1"]
     for orig, rt in zip(ds.raw_rows, back.raw_rows):
         for col, (a, b) in enumerate(zip(orig, rt)):
             if ds.header[col] != "predict_sense_id":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from senseclust.dataset import ContextInstance, Dataset
-from senseclust.evaluate import (Labeling, ari, ari_codes, ari_rows, confusion_csv,
+from senseclust.evaluate import (Labeling, ari, ari_rows, confusion_csv,
                                  confusion_matrix, evaluate)
 
 from oracles import pair_counting_ari
@@ -132,7 +132,7 @@ def test_integer_kernel_on_random_int_and_string_labelings():
             assert ari(gold, pred) == counter_ari(gold, pred)
             assert abs(ari(gold, pred) - pair_counting_ari(gold, pred)) <= 1e-12
         # The kernel takes non-contiguous non-negative codes as they are.
-        assert ari_codes(g, p) == ari(list(g), list(p))
+        assert ari_rows(g, p[None])[0] == ari(list(g), list(p))
 
 
 def test_integer_kernel_degenerate_cases():
@@ -142,8 +142,8 @@ def test_integer_kernel_degenerate_cases():
     for gold, pred in cases:
         assert ari(gold, pred) == counter_ari(gold, pred), (gold, pred)
         assert abs(ari(gold, pred) - pair_counting_ari(gold, pred)) <= 1e-12
-    assert ari_codes(np.array([4, 4, 4]), np.array([0, 0, 0])) == 1.0
-    assert ari_codes(np.array([0, 3, 6]), np.array([5, 1, 2])) == 1.0
+    assert ari_rows(np.array([4, 4, 4]), np.array([0, 0, 0])[None])[0] == 1.0
+    assert ari_rows(np.array([0, 3, 6]), np.array([5, 1, 2])[None])[0] == 1.0
 
 
 CODES = st.sampled_from([0, 2, 9, 40])  # non-contiguous
@@ -174,7 +174,7 @@ def test_batched_ari_equals_the_one_row_kernel_row_by_row(problem):
     scores = ari_rows(gold, preds)
     assert len(scores) == len(preds)
     for score, pred in zip(scores, preds):
-        assert score == ari_codes(gold, pred) == counter_ari(list(gold), list(pred))
+        assert score == ari_rows(gold, pred[None])[0] == counter_ari(list(gold), list(pred))
 
 
 # --- evaluate --------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_instances_without_gold_are_excluded_and_counted():
 
 def test_no_gold_anywhere_errors():
     ds = make_dataset([("c1", "w", None)])
-    with pytest.raises(ValueError, match="gold"):
+    with pytest.raises(ValueError, match="^no context has a gold sense$"):
         evaluate(ds, Labeling({"c1": "a"}))
 
 

@@ -1,9 +1,10 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens an input file for reading (numpy's
-file readers count), only ``cluster.py`` calls the clustering kernels, no
-module raises powers with numpy, and no module changes the process-wide
-warning filters, the BLAS thread count or the environment."""
+file readers count), only ``cluster.py`` calls the clustering kernels, only
+``dataset.py`` reads a dataset file's layout, no module raises powers with
+numpy, and no module changes the process-wide warning filters, the BLAS
+thread count or the environment."""
 
 import ast
 import inspect
@@ -157,6 +158,25 @@ def test_only_the_cluster_module_calls_the_clustering_kernels():
         offenders += [f"{path.name}:{node.lineno} {name}()"
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and (name := _called_name(node)) in CLUSTERING_KERNELS]
+    assert offenders == []
+
+
+# The ``Dataset`` fields that hold the file's header and unparsed rows.
+DATASET_LAYOUT = ("header", "raw_rows")
+
+
+def test_only_the_dataset_module_reads_the_file_layout():
+    # ``parse_dataset`` reads each column into a ``ContextInstance`` field,
+    # and ``write_predictions`` re-emits the rows with predictions filled.
+    # A module that indexed the header or the raw rows would state the
+    # column layout a second time.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in DATASET_LAYOUT]
     assert offenders == []
 
 

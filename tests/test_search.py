@@ -335,9 +335,12 @@ def test_requires_gold(tmp_path):
                     encoding="utf-8")
     dataset = parse_dataset(path)
     model = synthetic.build_model()
-    with pytest.raises(ValueError, match="gold"):
+    # Searching and scoring state the rule once, in ``gold_codes``.
+    with pytest.raises(ValueError, match="^no context has a gold sense$"):
         grid_search(dataset, model, synthetic.build_background_idf(),
                     build_chi2(dataset), SearchSpace())
+    with pytest.raises(ValueError, match="^no context has a gold sense$"):
+        evaluate(dataset, Labeling({"c1": "a"}))
 
 
 @pytest.fixture(scope="module")
