@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, line_message, read_lines, split_fields
+from .errors import DataError, line_message, read_blocks, read_lines, split_fields
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
@@ -102,7 +102,8 @@ def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
     format then has one ``word v1 ... vD`` line per entry; the binary format
     has, per entry, a space-terminated word token followed by ``dim``
     little-endian float32 values (an optional trailing newline between
-    entries is tolerated).
+    entries is tolerated). A binary file is read in blocks straight into the
+    matrix, so memory peaks near the matrix size, not twice the file size.
 
     Raises DataError on a malformed header, wrong vector length, an entry
     count that disagrees with the header, or non-finite components.
@@ -175,30 +176,40 @@ def _load_text(path: Path) -> tuple:
 
 
 def _load_binary(path: Path) -> tuple:
-    buf = path.read_bytes()
-    nl = buf.find(b"\n")
-    if nl < 0:
+    blocks, data, pos = read_blocks(path), bytearray(), 0
+
+    def find(sep: bytes, then: int = 0) -> int:
+        """The next ``sep`` (one byte) from ``pos`` with ``then`` bytes after it,
+        dropping ``data`` before ``pos`` and appending blocks; -1 at the end."""
+        nonlocal pos
+        hit = data.find(sep, pos)
+        while hit < 0 or hit + 1 + then > len(data):
+            start = (hit if hit >= 0 else len(data)) - pos
+            del data[:pos]
+            pos, block = 0, next(blocks, None)
+            if block is None:
+                return -1
+            data.extend(block)
+            hit = data.find(sep, start)
+        return hit
+
+    if (nl := find(b"\n")) < 0:
         raise DataError(f"{path}: missing header line")
-    n_words, dim = _header(buf[:nl].decode("utf-8", errors="replace"), path, len(buf), 4)
+    n_words, dim = _header(data[:nl].decode("utf-8", errors="replace"), path,
+                           path.stat().st_size, 4)
     vectors = np.empty((n_words, dim), dtype="<f4")
-    out, data = memoryview(vectors).cast("B"), memoryview(buf)
-    vec_bytes = 4 * dim
-    pos = nl + 1
+    out, vec_bytes, pos = memoryview(vectors).cast("B"), 4 * dim, nl + 1
     words: list[str] = []
-    for i in range(n_words):
-        while buf[pos : pos + 1] == b"\n":
-            pos += 1
-        sp = buf.find(b" ", pos)
-        if sp < 0 or sp + 1 + vec_bytes > len(buf):
+    for i in range(n_words):  # lstrip skips a newline run before an entry
+        if (sp := find(b" ", vec_bytes)) < 0:
             raise DataError(f"{path}: header declares {n_words} entries but file has {i}")
         try:
-            words.append(normalize_token(buf[pos:sp].decode("utf-8")))
+            words.append(normalize_token(data[pos:sp].lstrip(b"\n").decode("utf-8")))
         except UnicodeDecodeError:
             raise DataError(f"{path}: entry {i}: undecodable word bytes") from None
-        pos = sp + 1
-        out[i * vec_bytes : (i + 1) * vec_bytes] = data[pos : pos + vec_bytes]
-        pos += vec_bytes
-    if buf[pos:].strip(b"\n") != b"":
+        pos = sp + 1 + vec_bytes
+        out[i * vec_bytes : (i + 1) * vec_bytes] = data[sp + 1 : pos]
+    if data[pos:].strip(b"\n") or any(bytes(b).strip(b"\n") for b in blocks):
         raise DataError(f"{path}: trailing data after {n_words} declared entries")
     return vectors, words, lambda i, text: f"{path}: entry {i}: {text}"
 

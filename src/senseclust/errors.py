@@ -1,10 +1,13 @@
 """Shared exception types, the one reader of text input files (``read_lines``)
-and the one form of a message about an input line (``line_message``)."""
+and of binary ones (``read_blocks``), and the one form of a message about an
+input line (``line_message``)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Iterator
+
+BLOCK_BYTES = 1 << 16  # the buffer of read_blocks
 
 
 class DataError(Exception):
@@ -58,6 +61,15 @@ class read_lines:
     def __exit__(self, exc_type, exc, tb) -> None:
         if isinstance(exc, ValueError):
             raise DataError(line_message(self.path, self.lineno, exc)) from None
+
+
+def read_blocks(path: str | Path) -> Iterator[memoryview]:
+    """The bytes of a binary file, a block at a time, each a view of one
+    reused ``BLOCK_BYTES`` buffer that the next block overwrites."""
+    with open(path, "rb", buffering=0) as fh:
+        buf = bytearray(BLOCK_BYTES)
+        while n := fh.readinto(buf):
+            yield memoryview(buf)[:n]
 
 
 def split_fields(line: str, *names: str) -> list[str]:

@@ -1,6 +1,7 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from senseclust import errors
 from senseclust.embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
                                    load_frequency_table, norm_frequency_report,
                                    write_embeddings)
@@ -213,6 +215,84 @@ def test_binary_non_finite(tmp_path):
     with pytest.raises(DataError, match=re.escape(
             "emb.bin: entry 2: non-finite component for 'y'") + "$"):
         load_embeddings(path, fmt="binary")
+
+
+VEC = struct.pack("<2f", 1.0, 2.0)
+BINARY_ERRORS = [  # (file, its message after "<path>: ")
+    pytest.param(b"2 2", "missing header line", id="no-header"),
+    pytest.param(b"2 2\nx " + VEC + b"\ny " + VEC[:-1],
+                 "header declares 2 entries but file has 1", id="short-vector"),
+    pytest.param(b"2 2\nx " + VEC + b"\n\nyyyyyyyy",
+                 "header declares 2 entries but file has 1", id="no-space"),
+    pytest.param(b"2 2\nx " + VEC + b"\n\xd0\xb1\xff " + VEC,
+                 "entry 1: undecodable word bytes", id="undecodable"),
+    pytest.param(b"1 2\nx " + VEC + b"\n\n\nz\n",
+                 "trailing data after 1 declared entries", id="trailing"),
+]
+
+
+def assert_binary_error(tmp_path, blob, message):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(blob)
+    with pytest.raises(DataError) as info:
+        load_embeddings(path, fmt="binary")
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("blob, message", BINARY_ERRORS)
+def test_binary_errors_are_exact(tmp_path, blob, message):
+    assert_binary_error(tmp_path, blob, message)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize("blob, message", BINARY_ERRORS[1:])
+def test_binary_errors_across_block_boundaries(tmp_path, monkeypatch, blob, message, block):
+    monkeypatch.setattr(errors, "BLOCK_BYTES", block)
+    assert_binary_error(tmp_path, blob, message)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_blocked_binary_read_equals_one_block_read(data, dim):
+    """Words of 1- to 4-byte UTF-8 characters and newline runs between
+    entries fall across block boundaries."""
+    words = data.draw(st.lists(st.text("aбж€😀\n", min_size=1, max_size=4)
+                               .filter(lambda w: w.strip("\n")), min_size=1, max_size=8))
+    newlines = st.integers(0, 3).map(lambda n: b"\n" * n)
+    blob = f"{len(words)} {dim}\n".encode() + data.draw(newlines)
+    for word in words:
+        values = data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                    min_size=dim, max_size=dim))
+        blob += (word.lstrip("\n").encode() + b" " + struct.pack(f"<{dim}f", *values)
+                 + data.draw(newlines))
+    block = data.draw(st.sampled_from([1, 3, 4 * dim - 1, 4 * dim + 1]), label="block")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb.bin"
+        path.write_bytes(blob)
+        mp.setattr(errors, "BLOCK_BYTES", len(blob))
+        whole = load_embeddings(path, fmt="binary")
+        mp.setattr(errors, "BLOCK_BYTES", block)
+        blocked = load_embeddings(path, fmt="binary")
+    assert blocked.vectors.tobytes() == whole.vectors.tobytes()
+    assert blocked.index == whole.index
+
+
+def test_binary_load_peaks_near_the_matrix(tmp_path):
+    """The file is read in blocks into the matrix, not whole beside it."""
+    n_words, dim = 10_000, 200
+    vectors = np.random.default_rng(0).standard_normal((n_words, dim), dtype=np.float32)
+    path = tmp_path / "emb.bin"
+    write_embeddings(EmbeddingModel(vectors, {f"w{i}": i for i in range(n_words)}), path,
+                     fmt="binary")
+    assert path.stat().st_size > 8_000_000
+    del vectors
+    tracemalloc.start()
+    try:
+        model = load_embeddings(path, fmt="binary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * model.vectors.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["text", "binary"])

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from senseclust import errors
 from senseclust.dataset import parse_dataset
 from senseclust.embeddings import load_embeddings, load_frequency_table
 from senseclust.errors import DataError
@@ -148,8 +149,25 @@ def test_text_parser_byte_fuzz(kind, data):
     parses_or_data_error(PARSERS[kind], blob)
 
 
+def binary_outcome(path: Path):
+    """The loaded vectors and index, or the DataError message."""
+    try:
+        model = load_embeddings(path, fmt="binary")
+    except DataError as exc:
+        return str(exc)
+    return model.vectors.tobytes(), model.index
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(blob=st.one_of(mutated_bytes(binary_embeddings()), st.binary(max_size=40)))
-def test_binary_embeddings_fuzz(blob):
-    parses_or_data_error(lambda path: load_embeddings(path, fmt="binary"), blob)
+@given(blob=st.one_of(mutated_bytes(binary_embeddings()), st.binary(max_size=40)),
+       block=st.integers(1, 7))
+def test_binary_embeddings_fuzz(blob, block):
+    """Any file gives a model or a DataError, the same one when read in
+    blocks of a few bytes, so that every field can cross a block boundary."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "input"
+        path.write_bytes(blob)
+        whole = binary_outcome(path)
+        mp.setattr(errors, "BLOCK_BYTES", block)
+        assert binary_outcome(path) == whole
