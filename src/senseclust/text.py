@@ -3,11 +3,12 @@
 Every word that becomes a lookup key -- context tokens, dataset targets,
 embedding, frequency, idf and chi2 table entries -- goes through
 ``normalize_token``, so an NFD-encoded token finds the same entries as its
-NFC form.
+NFC form, and every table holds the same object for one word.
 """
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 from typing import Sequence
 
@@ -18,8 +19,11 @@ PREFIX_FLOOR = 4
 
 
 def normalize_token(token: str) -> str:
-    """Canonical key form for vocabulary entries and lookups: NFC + lowercase."""
-    return unicodedata.normalize("NFC", token).lower()
+    """Canonical key form for vocabulary entries and lookups: NFC + lowercase,
+    interned, so each distinct word is held once however many tokens and
+    tables name it. CPython 3.12 keeps interned strings until the process
+    exits; a batch run holds its vocabulary that long anyway."""
+    return sys.intern(unicodedata.normalize("NFC", token).lower())
 
 
 def _is_punct(ch: str) -> bool:

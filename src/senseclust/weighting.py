@@ -113,23 +113,22 @@ def build_chi2(dataset: Dataset) -> Chi2Table:
     target's forms). With a single distinct target no context lies outside
     it, so every statistic is 0 and the table is flagged.
     """
-    presence = [set(inst.kept) for inst in dataset.instances]
-    n_total = len(presence)
+    n_total = len(dataset.instances)
     word_totals: Counter[str] = Counter()
-    for words in presence:
-        word_totals.update(words)
-
     values: dict[tuple[str, str], float] = {}
     for target, idxs in dataset.by_target.items():
-        n_t = len(idxs)
         counts: Counter[str] = Counter()
         for i in idxs:
-            counts.update(presence[i])
+            counts.update(set(dataset.instances[i].kept))
+        word_totals.update(counts)
         for word, a in counts.items():
-            b = word_totals[word] - a
-            c = n_t - a
-            d = n_total - n_t - b
-            values[(target, word)] = chi2_statistic(a, b, c, d)
+            values[(target, word)] = a
+    for (target, word), a in values.items():  # counts become statistics in place
+        n_t = len(dataset.by_target[target])
+        b = word_totals[word] - a
+        c = n_t - a
+        d = n_total - n_t - b
+        values[(target, word)] = chi2_statistic(a, b, c, d)
     return Chi2Table(values=values, single_target=len(dataset.by_target) < 2)
 
 

@@ -2,9 +2,9 @@
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens an input file for reading (numpy's
 file readers count), only ``cluster.py`` calls the clustering kernels, only
-``dataset.py`` reads a dataset file's layout, no module raises powers with
-numpy, and no module changes the process-wide warning filters, the BLAS
-thread count or the environment."""
+``dataset.py`` reads a dataset file's layout, only ``text.py`` interns
+strings, no module raises powers with numpy, and no module changes the
+process-wide warning filters, the BLAS thread count or the environment."""
 
 import ast
 import inspect
@@ -177,6 +177,20 @@ def test_only_the_dataset_module_reads_the_file_layout():
         offenders += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in DATASET_LAYOUT]
     assert offenders == []
+
+
+def test_only_the_text_module_interns():
+    # ``normalize_token`` interns every word it returns, so each table keys a
+    # word by one object. An intern call elsewhere would be a second
+    # normalization point; the text module must keep its own, or the guard
+    # would guard nothing.
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls[path.name] = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                            if isinstance(node, ast.Call) and _called_name(node) == "intern"]
+    assert calls.pop("text.py") != []
+    assert [c for found in calls.values() for c in found] == []
 
 
 def test_the_cluster_submodule_is_not_shadowed():

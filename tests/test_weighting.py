@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from senseclust.dataset import Dataset, ContextInstance
+from senseclust.dataset import Dataset, ContextInstance, parse_dataset
+from senseclust.embeddings import load_embeddings, write_embeddings
 from senseclust.errors import DataError
 from senseclust.vectorize import ContextTerms, context_terms, power_step
 from senseclust.weighting import (Chi2Table, IdfTable, WeightingConfig,
@@ -176,6 +180,81 @@ def test_exclusive_cooccurrence_dominates():
     assert table.value("zzzzz", "only") > table.value("zzzzz", "both")
     involving_only = [v for (t, w), v in table.values.items() if w == "only"]
     assert table.value("zzzzz", "only") == max(involving_only)
+
+
+# Targets that are also context words, so the exclusion of a context's own
+# target meets words that other targets keep.
+CHI2_TARGETS = ("zzzzz", "qqqqq", "wwwww")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CHI2_TARGETS),
+                          st.lists(st.sampled_from(("x", "y", "v") + CHI2_TARGETS[:2]),
+                                   max_size=6)),
+                min_size=1, max_size=12))
+@example([("zzzzz", ["x"]), ("zzzzz", ["x", "y"])])
+@example([("zzzzz", ["x", "qqqqq"]), ("qqqqq", ["x", "zzzzz"]), ("wwwww", ["x", "x"])])
+def test_build_chi2_matches_naive_recount(rows):
+    # Each (target, word) 2x2 table recounted from the contexts' word sets.
+    ds = make_dataset([(f"c{i}", t, tokens) for i, (t, tokens) in enumerate(rows)])
+    present = [(inst.target, set(inst.kept)) for inst in ds.instances]
+    expected = {}
+    for target in ds.by_target:
+        inside = [words for t, words in present if t == target]
+        outside = [words for t, words in present if t != target]
+        for word in set().union(*inside):
+            a = sum(word in words for words in inside)
+            b = sum(word in words for words in outside)
+            expected[(target, word)] = chi2_statistic(
+                a, b, len(inside) - a, len(outside) - b).hex()
+    table = build_chi2(ds)
+    assert {pair: v.hex() for pair, v in table.values.items()} == expected
+    assert table.single_target == (len(ds.by_target) < 2)
+
+
+def test_build_chi2_peaks_near_its_table():
+    """Counting holds one target's counts at a time, not a set per context."""
+    rng = np.random.default_rng(0)
+    vocab = [f"w{i}" for i in range(3000)]
+    ds = make_dataset([(f"c{t}-{j}", f"target{t:02d}", list(rng.choice(vocab, size=40)))
+                       for t in range(20) for j in range(60)])
+    for inst in ds.instances:
+        inst.kept
+    tracemalloc.start()
+    try:
+        table = build_chi2(ds)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.values) > 30_000
+    assert peak < 1.4 * retained
+
+
+def test_each_word_is_one_object(tmp_path):
+    # A word held by contexts, targets and every table is one object, however
+    # many times and in whichever case the files spell it.
+    word, target = "огурцы", "банка"
+    write_embeddings(synthetic.model_from_entries({word: (1.0,), "реки": (0.5,)}),
+                     tmp_path / "emb.txt")
+    model = load_embeddings(tmp_path / "emb.txt")
+    (tmp_path / "idf.tsv").write_text(f"# n_docs=3\n{word}\t2\n", encoding="utf-8")
+    idf = read_idf_tsv(tmp_path / "idf.tsv")
+    (tmp_path / "ds.tsv").write_text("\n".join([
+        synthetic.HEADER,
+        f"c1\t{target}\t\t\t0-5\t{target} {word}",
+        f"c2\t{target.upper()}\t\t\t0-5\t{target.upper()} {word.upper()}",
+        "c3\tберег\t\t\t0-5\tберег реки"]) + "\n", encoding="utf-8")
+    ds = parse_dataset(tmp_path / "ds.tsv")
+    chi2 = build_chi2(ds)
+    words = ([t for inst in ds.instances for t in inst.kept if t == word]
+             + [w for w in model.index if w == word] + [w for w in idf.df if w == word]
+             + [w for _, w in chi2.values if w == word])
+    targets = ([inst.target for inst in ds.instances if inst.target == target]
+               + [t for t in ds.by_target if t == target]
+               + [t for t, _ in chi2.values if t == target])
+    assert len(words) == 5 and len(targets) == 4
+    assert all(w is words[0] for w in words)
+    assert all(t is targets[0] for t in targets)
 
 
 # --- the combined weight tfidf^p_tfidf * chi2^p_chi2 ------------------------
