@@ -23,12 +23,12 @@ from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster_po
 from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
                          norm_frequency_report, norm_report_tsv)
-from .errors import DataError, MissingLabel, read_lines
+from .errors import DataError, MissingLabel, read_lines, write_text
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate, gold_codes
 from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
                        read_translations)
-from .search import (SearchSpace, grid_search, parallel_map, parse_preference,
-                     parse_space_file, serialize_config)
+from .search import (AUTO_PREFERENCE, SearchSpace, grid_search, parallel_map,
+                     parse_preference, parse_space_file, serialize_config)
 from .text import tokenize
 from .vectorize import dump_vectors, vectorize_dataset
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
                    help="point distance; ward requires euclidean (default: euclidean)")
     p.add_argument("--damping", type=float, default=0.5,
                    help="affinity propagation damping in [0.5, 1) (default: 0.5)")
-    p.add_argument("--preference", default="auto",
+    p.add_argument("--preference", default=AUTO_PREFERENCE,
                    help="affinity propagation preference in [-20, 5], or "
                         "'auto' for the median similarity (default: auto)")
     p.add_argument("--max-iter", type=int, default=200,
@@ -176,8 +176,7 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(out, [text])
 
 
 def cmd_build_idf(args) -> int:
@@ -265,14 +264,11 @@ def cmd_evaluate(args) -> int:
         report = evaluate(gold, Labeling(assignments))
     if args.confusion_dir is not None:
         args.confusion_dir.mkdir(parents=True, exist_ok=True)
-        for word, idxs in gold.by_target.items():
-            pairs = [(gold.instances[i].gold_sense,
-                      assignments[gold.instances[i].context_id])
-                     for i in idxs if gold.instances[i].gold_sense is not None]
-            if not pairs:
-                continue
-            rows, cols, counts = confusion_matrix([g for g, _ in pairs],
-                                                  [p for _, p in pairs])
+        for word, (keep, _) in gold_codes(gold).items():
+            graded = [gold.instances[gold.by_target[word][j]] for j in keep]
+            rows, cols, counts = confusion_matrix(
+                [inst.gold_sense for inst in graded],
+                [assignments[inst.context_id] for inst in graded])
             try:  # open() raises ValueError on an embedded null byte
                 _emit(confusion_csv(rows, cols, counts), args.confusion_dir / f"{word}.csv")
             except (OSError, ValueError) as exc:

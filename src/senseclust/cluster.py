@@ -8,6 +8,7 @@ oscillation-breaking jitter is a fixed function of the point indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,9 +48,15 @@ class ClusteringConfig:
             raise ValueError(f"unknown linkage {self.linkage!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        for name in ("n_clusters", "max_iter", "convergence_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # the cut calls int.bit_length
         if not 1 <= self.n_clusters <= 14:
             raise ValueError(f"n_clusters must be in 1..14, got {self.n_clusters}")
-        if self.linkage == "ward" and self.metric != "euclidean":
+        if (self.algorithm == "agglomerative" and self.linkage == "ward"
+                and self.metric != "euclidean"):
             raise ValueError("ward linkage requires the euclidean metric")
         if not 0.5 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0.5, 1), got {self.damping}")

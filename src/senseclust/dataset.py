@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DataError, MissingLabel, line_message, read_lines
+from .errors import DataError, MissingLabel, line_message, read_lines, write_text
 from .text import exclude_target, matches_target_form, normalize_token, strip_punct, tokenize
 
 if TYPE_CHECKING:
@@ -140,9 +141,6 @@ def write_predictions(dataset: Dataset, labels: Labeling, out: str | Path) -> No
             raise MissingLabel(f"no label for context_id {inst.context_id!r}")
     pred_col = dataset.header.index("predict_sense_id")
     id_col = dataset.header.index("context_id")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(dataset.header) + "\n")
-        for row in dataset.raw_rows:
-            out_row = list(row)
-            out_row[pred_col] = str(assignments[row[id_col]])
-            fh.write("\t".join(out_row) + "\n")
+    rows = ([*row[:pred_col], str(assignments[row[id_col]]), *row[pred_col + 1:]]
+            for row in dataset.raw_rows)
+    write_text(out, ("\t".join(row) + "\n" for row in chain([dataset.header], rows)))

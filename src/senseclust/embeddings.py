@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, line_message, read_blocks, read_lines, split_fields
+from .errors import (DataError, line_message, read_blocks, read_lines, split_fields,
+                     write_text)
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
@@ -219,14 +220,10 @@ def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text")
     _check_format(fmt)
     path = Path(path)
     if fmt == "text":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(model)} {model.dim}\n")
-            for word, row in model.index.items():
-                comps = " ".join(
-                    np.format_float_positional(v, unique=True, trim="0")
-                    for v in model.vectors[row]
-                )
-                fh.write(f"{word} {comps}\n")
+        write_text(path, chain([f"{len(model)} {model.dim}\n"], (
+            word + " " + " ".join(np.format_float_positional(v, unique=True, trim="0")
+                                  for v in model.vectors[row]) + "\n"
+            for word, row in model.index.items())))
     else:
         with open(path, "wb") as fh:
             fh.write(f"{len(model)} {model.dim}\n".encode("utf-8"))

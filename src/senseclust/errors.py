@@ -1,11 +1,12 @@
 """Shared exception types, the one reader of text input files (``read_lines``)
-and of binary ones (``read_blocks``), and the one form of a message about an
-input line (``line_message``)."""
+and of binary ones (``read_blocks``), the one writer of text output files
+(``write_text``), and the one form of a message about an input line
+(``line_message``)."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 BLOCK_BYTES = 1 << 16  # the buffer of read_blocks
 
@@ -70,6 +71,12 @@ def read_blocks(path: str | Path) -> Iterator[memoryview]:
         buf = bytearray(BLOCK_BYTES)
         while n := fh.readinto(buf):
             yield memoryview(buf)[:n]
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order to a UTF-8 text file with ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def split_fields(line: str, *names: str) -> list[str]:

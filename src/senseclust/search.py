@@ -156,7 +156,7 @@ def serialize_config(clustering: ClusteringConfig, weighting: WeightingConfig) -
                       metric=clustering.metric)
     else:
         fields.update(damping=repr(clustering.damping),
-                      preference=("auto" if clustering.preference is None
+                      preference=(AUTO_PREFERENCE if clustering.preference is None
                                   else repr(clustering.preference)))
     return " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
 
@@ -180,13 +180,12 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
     sizes = [len(codes) for _, codes in gold.values()]
     # Every train ARI sums its per-word scores in gold word order.
     per_word = parallel_map(score_word, list(gold), jobs)
+    # A word with more or fewer scores than there are configs stops the search.
+    per_config = zip(*per_word, strict=True)
     ranked = [SearchEntry(ccfg, wcfg, weighted_ari(zip(scores, sizes)))
-              for (ccfg, wcfg), scores in zip(space.configs(), zip(*per_word))]
+              for (ccfg, wcfg), scores in zip(space.configs(), per_config, strict=True)]
     ranked.sort(key=lambda e: (-e.train_ari,
                                serialize_config(e.clustering, e.weighting)))
-    if len(ranked) != space.size():
-        raise RuntimeError(f"grid search scored {len(ranked)} configs, "
-                           f"expected {space.size()}")
     return SearchResult(ranked=ranked)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import ContextInstance
 from .embeddings import EmbeddingModel
+from .errors import write_text
 from .text import exclude_target  # noqa: F401  (re-exported)
 from .weighting import Chi2Table, IdfTable, WeightingConfig, power
 
@@ -153,7 +154,5 @@ def vectorize_dataset(dataset, model: EmbeddingModel, idf: IdfTable,
 
 def dump_vectors(rows, path) -> None:
     """Write TSV rows ``context_id<TAB>v1 v2 ... vd`` from (context_id, vector) pairs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for cid, vec in rows:
-            comps = " ".join(repr(float(x)) for x in vec)
-            fh.write(f"{cid}\t{comps}\n")
+    write_text(path, (f"{cid}\t" + " ".join(repr(float(x)) for x in vec) + "\n"
+                      for cid, vec in rows))

@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import DataError, read_lines, split_fields
+from .errors import DataError, read_lines, split_fields, write_text
 from .text import normalize_token
 
 if TYPE_CHECKING:
@@ -140,10 +141,8 @@ def power(values: Sequence[float], p: float) -> list[float]:
 # --- TSV caching ----------------------------------------------------------
 
 def write_idf_tsv(table: IdfTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n_docs={table.n_docs}\n")
-        for word in sorted(table.df):
-            fh.write(f"{word}\t{table.df[word]}\n")
+    write_text(path, chain([f"# n_docs={table.n_docs}\n"],
+                           (f"{word}\t{table.df[word]}\n" for word in sorted(table.df))))
 
 
 def read_idf_tsv(path: str | Path) -> IdfTable:
@@ -170,11 +169,9 @@ def read_idf_tsv(path: str | Path) -> IdfTable:
 
 
 def write_chi2_tsv(table: Chi2Table, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if table.single_target:
-            fh.write("# single_target=true\n")
-        for (target, word) in sorted(table.values):
-            fh.write(f"{target}\t{word}\t{table.values[(target, word)]!r}\n")
+    header = ["# single_target=true\n"] if table.single_target else []
+    write_text(path, chain(header, (f"{target}\t{word}\t{table.values[(target, word)]!r}\n"
+                                    for target, word in sorted(table.values))))
 
 
 def read_chi2_tsv(path: str | Path) -> Chi2Table:

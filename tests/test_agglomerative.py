@@ -51,6 +51,22 @@ def test_ward_requires_euclidean():
         cfg(2, "ward", "cosine")
     with pytest.raises(ValueError, match="ward"):
         dendrogram(np.zeros((3, 2)), "ward", "cosine")
+    # Affinity propagation has no linkage, so the default ward binds no metric.
+    ClusteringConfig(algorithm="affinity_propagation", linkage="ward", metric="cosine")
+
+
+@pytest.mark.parametrize("field", ["n_clusters", "max_iter", "convergence_window"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ClusteringConfig(**{field: value})
+
+
+def test_numpy_integer_counts_are_valid():
+    config = ClusteringConfig(n_clusters=np.int64(3), max_iter=np.int32(5),
+                              convergence_window=np.uint8(2))
+    assert config == ClusteringConfig(n_clusters=3, max_iter=5, convergence_window=2)
+    assert list(agglomerative(np.arange(8.0).reshape(4, 2), config).labels) == [0, 0, 1, 2]
 
 
 def test_empty_input():

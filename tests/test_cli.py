@@ -1,12 +1,18 @@
 import importlib
+import os
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from senseclust import cli
 from senseclust.cli import main
+from senseclust.cluster import ClusteringConfig
 from senseclust.embeddings import write_embeddings
+from senseclust.search import parse_preference
+from senseclust.weighting import WeightingConfig
 
 import synthetic
 
@@ -75,6 +81,34 @@ def test_cluster_affinity_propagation(workspace):
     cid, comps = vecs[0].split("\t")
     assert cid == pred[1].split("\t")[0]
     assert len(comps.split(" ")) == 8
+
+
+def test_affinity_propagation_ignores_the_agglomerative_flags(workspace):
+    # AP has no linkage, so the default --linkage ward does not hold its
+    # --metric to euclidean, and no agglomerative flag changes its labels.
+    base = ("cluster", "--embeddings", workspace / "emb.txt",
+            "--dataset", workspace / "train.tsv", "--algo", "affinity_propagation",
+            "--p-tfidf", "0")
+    outputs = []
+    for i, flags in enumerate([(), ("--metric", "cosine"),
+                               ("--linkage", "complete", "--metric", "manhattan"),
+                               ("--k", "5")]):
+        assert run_cli(*base, *flags, "--out", workspace / f"ap{i}.tsv") == 0
+        outputs.append((workspace / f"ap{i}.tsv").read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def test_cluster_flag_defaults_are_the_config_defaults():
+    # ``--heatmap-view default`` names ClusteringConfig() the default config,
+    # so a plain ``cluster`` call must run that config.
+    args = cli.build_parser().parse_args(
+        ["cluster", "--embeddings", "e", "--dataset", "d", "--out", "o"])
+    assert asdict(ClusteringConfig()) == {
+        "algorithm": args.algo, "n_clusters": args.k, "linkage": args.linkage,
+        "metric": args.metric, "damping": args.damping,
+        "preference": parse_preference(args.preference), "max_iter": args.max_iter,
+        "convergence_window": args.convergence_window}
+    assert asdict(WeightingConfig()) == {"p_tfidf": args.p_tfidf, "p_chi2": args.p_chi2}
 
 
 def test_cluster_bad_preference_is_usage_error(workspace):
@@ -662,14 +696,16 @@ def test_mt_label_cli(workspace, capsys, tmp_path):
 
 
 def test_console_entry_point(workspace):
+    # The subprocesses import the package from where this process did.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "senseclust.cli", "evaluate",
          "--gold", str(workspace / "train.tsv"),
          "--pred", str(workspace / "missing.tsv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     proc = subprocess.run([sys.executable, "-m", "senseclust.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for sub in ("build-idf", "build-chi2", "cluster", "evaluate",
                 "grid-search", "norm-report", "mt-label"):

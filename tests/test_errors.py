@@ -2,7 +2,7 @@
 
 import pytest
 
-from senseclust.errors import DataError, read_lines
+from senseclust.errors import DataError, read_lines, write_text
 
 
 def test_numbering_line_ends_and_blank_lines(tmp_path):
@@ -34,3 +34,9 @@ def test_byte_order_mark_only_at_the_start_of_line_1_is_dropped(tmp_path):
     assert list(read_lines(marked)) == [(1, "\ufeff")]
     marked.write_bytes("\ufeff\r\nx\n".encode("utf-8"))  # a line of only a mark is blank
     assert list(read_lines(marked)) == [(2, "x")]
+
+
+def test_write_text_streams_utf8_with_newline_ends(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, (chunk for chunk in ["é\tx\n", "b\r\n", "c"]))
+    assert path.read_bytes() == "é\tx\nb\r\nc".encode("utf-8")

@@ -1,7 +1,7 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
-function body, only ``errors.py`` opens an input file for reading (numpy's
-file readers count), only ``cluster.py`` calls the clustering kernels, only
+function body, only ``errors.py`` opens a text file, to read or to write
+(numpy's file functions count), only ``cluster.py`` calls the clustering kernels, only
 ``dataset.py`` reads a dataset file's layout, only ``text.py`` interns
 strings, no module raises powers with numpy, and no module changes the
 process-wide warning filters, the BLAS thread count or the environment."""
@@ -57,8 +57,10 @@ print("\\n".join(failed))
     assert len(MODULES) >= 11
 
 
-# numpy functions that open and read a file when given its name.
-NUMPY_READERS = ("loadtxt", "fromfile", "genfromtxt", "memmap")
+# numpy functions that open a file when given its name, and ``Path`` methods
+# that open the file they name.
+NUMPY_FILE_CALLS = ("loadtxt", "fromfile", "genfromtxt", "memmap", "savetxt", "tofile")
+PATH_FILE_METHODS = ("read_text", "read_bytes", "write_text", "write_bytes")
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -66,33 +68,39 @@ def _called_name(call: ast.Call) -> str | None:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
-def _file_read(call: ast.Call) -> str | None:
-    """The called name if the call reads a file: ``open``/``x.open`` without a
-    write mode, ``x.read_text``, ``x.read_bytes`` or a numpy reader."""
+def _file_opening(call: ast.Call) -> str | None:
+    """How the call opens a file, or None: ``open(<mode>)`` for ``open`` and
+    ``x.open``, else the name of a ``Path`` method or numpy file function.
+    ``errors.write_text``, called by its plain name, is not a ``Path`` method."""
     name = _called_name(call)
-    if name in ("read_text", "read_bytes") + NUMPY_READERS:
+    if name in NUMPY_FILE_CALLS or (name in PATH_FILE_METHODS
+                                    and isinstance(call.func, ast.Attribute)):
         return name
     if name != "open":
         return None
     mode = call.args[1] if len(call.args) > 1 else next(
         (kw.value for kw in call.keywords if kw.arg == "mode"), None)
-    writes = isinstance(mode, ast.Constant) and set("wax") & set(mode.value)
-    return None if writes else name
+    return f"open({ast.unparse(mode) if mode else ''})"
 
 
-def test_only_the_line_reader_opens_input_files():
-    # errors.py opens every input file: text through read_lines, binary
-    # through read_blocks. The text embedding loader feeds loadtxt from
-    # read_lines, so decoding, line ends and line numbers stay in errors.py.
-    allowed = {("errors.py", "open"), ("embeddings.py", "loadtxt")}
-    offenders = []
+def test_only_the_errors_module_opens_text_files():
+    # errors.py opens every input file, text through read_lines and binary
+    # through read_blocks, and every text output file through write_text, so
+    # encoding, line ends and line numbers are stated once. The text
+    # embedding loader feeds loadtxt from read_lines; the binary embedding
+    # writer is the one other open, as only embeddings.py knows that format.
+    allowed = {("embeddings.py", "open('wb')"), ("embeddings.py", "loadtxt")}
+    opened, offenders = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders += [f"{path.name}:{node.lineno} {name}()"
-                      for node in ast.walk(tree) if isinstance(node, ast.Call)
-                      and (name := _file_read(node))
-                      and (path.name, name) not in allowed]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (how := _file_opening(node)):
+                if path.name == "errors.py":
+                    opened.add(how)
+                elif (path.name, how) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} {how}")
     assert offenders == []
+    assert opened == {"open('rb')", "open('w')"}  # it reads and writes
 
 
 def _numpy_power(node: ast.AST) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import senseclust.cluster as cluster_module
+import senseclust.search as search_module
 from senseclust.cluster import (ClusteringConfig, agglomerative, cluster, gram_matrix,
                                 merge_sequences)
 from senseclust.dataset import ContextInstance, Dataset, parse_dataset
@@ -75,6 +76,8 @@ def test_space_validation():
         SearchSpace(k_grid=(0,), algorithms=("affinity_propagation",))
     with pytest.raises(ValueError, match="damping"):
         SearchSpace(damping_grid=(1.0,), algorithms=("agglomerative",))
+    with pytest.raises(ValueError, match="n_clusters must be an integer, got 2.0"):
+        SearchSpace(k_grid=(2.0, 3))
     # A repeated grid value would score and rank the same config twice.
     for kwargs, message in (
             (dict(power_grid=(1.0, 1.0), k_grid=(2, 3)), "power_grid repeats 1.0"),
@@ -161,6 +164,25 @@ def test_uniform_weights_tie_broken_lexicographically():
     serials = [serialize_config(e.clustering, e.weighting) for e in result.ranked]
     assert serials == sorted(serials)
     assert result.best.weighting == WeightingConfig(0.0, 0.0)
+
+
+@pytest.mark.parametrize("change", [lambda s: s + [0.0], lambda s: s[:-1]],
+                         ids=["one too many", "one too few"])
+def test_a_word_with_the_wrong_score_count_stops_the_search(small_problem, monkeypatch,
+                                                             change):
+    dataset, model, idf, chi2 = small_problem
+    calls, original = [], search_module.ari_rows
+
+    def ari_rows(gold, preds):  # the first word's first power pair is off by one
+        calls.append(None)
+        scores = original(gold, preds)
+        return change(scores) if len(calls) == 1 else scores
+
+    monkeypatch.setattr(search_module, "ari_rows", ari_rows)
+    space = SearchSpace(power_grid=(0.0, 1.0), k_grid=(2, 3), linkages=("average",),
+                        algorithms=("agglomerative",))
+    with pytest.raises(ValueError, match="zip"):
+        grid_search(dataset, model, idf, chi2, space)
 
 
 def test_exhaustive_and_deterministic(small_problem):
