@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import senseclust as sc
+from senseclust.evaluate import evaluate
 
 rng = np.random.default_rng(0)
 
@@ -73,7 +74,7 @@ for word, idxs in dataset.by_target.items():
     for i, lab in zip(idxs, labels):
         assignments[dataset.instances[i].context_id] = str(lab)
 
-report = sc.evaluate(dataset, sc.Labeling(assignments))
+report = evaluate(dataset, sc.Labeling(assignments))
 print("\nper-word ARI with tfidf^1 * chi2^1, ward, k=2:")
 for word, (score, n) in sorted(report.per_word.items()):
     print(f"  {word:<10} ari={score:.3f}  (n={n})")

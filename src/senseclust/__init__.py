@@ -7,7 +7,7 @@ from .embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
                          load_frequency_table, norm_frequency_report,
                          write_embeddings)
 from .errors import DataError
-from .evaluate import EvalReport, Labeling, ari, confusion_matrix, evaluate
+from .evaluate import EvalReport, Labeling, ari, confusion_matrix
 from .mt_label import Stemmer, TranslationRecord, label_by_translation, read_translations
 from .porter import porter_stem
 from .search import (SearchResult, SearchSpace, export_k_linkage_sweep,
@@ -25,7 +25,7 @@ __all__ = [
     "FrequencyTable", "IdfTable", "Labeling", "SearchResult", "SearchSpace",
     "Stemmer", "TranslationRecord", "WeightingConfig", "affinity_propagation",
     "agglomerative", "ari", "build_chi2", "build_idf", "chi2_statistic",
-    "confusion_matrix", "dendrogram", "evaluate",
+    "confusion_matrix", "dendrogram",
     "exclude_target", "export_k_linkage_sweep", "export_power_heatmap",
     "grid_search", "label_by_translation", "load_embeddings",
     "load_frequency_table", "norm_frequency_report", "parse_dataset",

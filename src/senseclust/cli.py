@@ -21,8 +21,8 @@ from pathlib import Path
 from . import search as search_mod
 from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster_points
 from .dataset import Dataset, parse_dataset, write_predictions
-from .embeddings import (FORMATS, load_embeddings, load_frequency_table,
-                         norm_frequency_report, norm_report_tsv)
+from .embeddings import (FORMATS, EmbeddingModel, load_embeddings,
+                         load_frequency_table, norm_frequency_report, norm_report_tsv)
 from .errors import DataError, MissingLabel, read_lines, write_text
 from .evaluate import Labeling, confusion_csv, confusion_matrix, evaluate, gold_codes
 from .mt_label import (STEMMER_ALGORITHMS, Stemmer, label_by_translation,
@@ -206,6 +206,16 @@ def _chi2_table(path: Path | None, dataset) -> Chi2Table:
     return table
 
 
+def _tables(args, dataset: Dataset) -> tuple[EmbeddingModel, IdfTable]:
+    """The embedding and idf rows of the dataset's kept tokens, from files
+    whose every row is checked; no idf file gives every word the same idf."""
+    vocabulary = {tok for inst in dataset.instances for tok in inst.kept}
+    model = load_embeddings(args.embeddings, fmt=args.format, vocabulary=vocabulary)
+    if args.idf is None:
+        return model, IdfTable(n_docs=1, df={})
+    return model, read_idf_tsv(args.idf, vocabulary=vocabulary)
+
+
 def cmd_build_chi2(args) -> int:
     write_chi2_tsv(_chi2_table(None, _read_dataset(args.dataset)), args.out)
     return 0
@@ -223,9 +233,8 @@ def cmd_cluster(args) -> int:
         raise UsageError(str(exc)) from None
     if args.idf is None and args.p_tfidf != 0.0:
         raise UsageError("--idf is required when --p-tfidf is nonzero")
-    model = load_embeddings(args.embeddings, fmt=args.format)
     dataset = _read_dataset(args.dataset)
-    idf = read_idf_tsv(args.idf) if args.idf is not None else IdfTable(n_docs=1, df={})
+    model, idf = _tables(args, dataset)
     chi2 = _chi2_table(args.chi2, dataset)
 
     # Vectorize every word, then cluster each: see the module docstring.
@@ -293,8 +302,7 @@ def cmd_grid_search(args) -> int:
                             f"{fixed.algorithm} config")
     if args.out_sweep is not None and "agglomerative" not in space.algorithms:
         raise DataError(f"{args.space}: --out-sweep needs agglomerative configs")
-    model = load_embeddings(args.embeddings, fmt=args.format)
-    idf = read_idf_tsv(args.idf)
+    model, idf = _tables(args, dataset)
     result = grid_search(dataset, model, idf, _chi2_table(args.chi2, dataset), space,
                          jobs=args.jobs)
     _emit(search_mod.ranked_csv(result), args.out_ranked)

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
+from typing import AbstractSet
 
 import numpy as np
 
@@ -19,16 +20,17 @@ from .errors import (DataError, line_message, read_blocks, read_lines, split_fie
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
+BLOCK_ROWS = 256  # entries per np.loadtxt call (text) and per kept-row copy (binary)
 
 
 @dataclass
 class EmbeddingModel:
     """Word vectors as one float32 ``(V, D)`` matrix plus a word -> row map.
 
-    ``index`` is keyed by normalized word. The loaders store one row per file
-    entry, so a word that occurs twice (after normalization) leaves its
-    earlier row unreferenced and the last occurrence wins; ``n_duplicates``
-    counts those rows.
+    ``index`` is keyed by normalized word, and the last occurrence of a word
+    (after normalization) wins. Without a vocabulary the loaders store one
+    row per file entry, so a word that occurs twice leaves its earlier row
+    unreferenced; ``n_duplicates`` counts those rows.
     """
 
     vectors: np.ndarray
@@ -46,6 +48,8 @@ class EmbeddingModel:
 
     @property
     def n_duplicates(self) -> int:
+        """Rows that the index leaves unreferenced. Under a vocabulary a
+        repeated kept word overwrites its own row, so a loaded model has none."""
         return self.vectors.shape[0] - len(self.index)
 
     def __len__(self) -> int:
@@ -96,21 +100,28 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown embedding format {fmt!r} (expected one of {FORMATS})")
 
 
-def load_embeddings(path: str | Path, fmt: str = "text") -> EmbeddingModel:
+def load_embeddings(path: str | Path, fmt: str = "text",
+                    vocabulary: AbstractSet[str] | None = None) -> EmbeddingModel:
     """Load a word2vec-format embedding file.
 
     Both formats start with a header line ``"<n_words> <dim>"``. The text
     format then has one ``word v1 ... vD`` line per entry; the binary format
     has, per entry, a space-terminated word token followed by ``dim``
     little-endian float32 values (an optional trailing newline between
-    entries is tolerated). A binary file is read in blocks straight into the
-    matrix, so memory peaks near the matrix size, not twice the file size.
+    entries is tolerated). A text file is parsed ``BLOCK_ROWS`` rows at a
+    time and a binary file is read in blocks, straight into the matrix, so
+    memory peaks near the matrix size, not twice the file size.
+
+    Every entry is read and checked. With a ``vocabulary`` (a set of
+    normalized words), only the rows of its words are kept, in a matrix of
+    at most ``min(n_words, len(vocabulary))`` rows; a bad row outside it is
+    still an error, with the same message.
 
     Raises DataError on a malformed header, wrong vector length, an entry
     count that disagrees with the header, or non-finite components.
     """
     _check_format(fmt)
-    return _model(*(_load_text if fmt == "text" else _load_binary)(Path(path)))
+    return (_load_text if fmt == "text" else _load_binary)(Path(path), vocabulary)
 
 
 def _header(line: str, path: Path, file_bytes: int, component_bytes: int
@@ -134,49 +145,104 @@ def _header(line: str, path: Path, file_bytes: int, component_bytes: int
     return n_words, dim
 
 
-def _model(vectors: np.ndarray, words: list[str], message) -> EmbeddingModel:
-    """The model of a loader's rows, checked finite: no float64 sum of finite
-    float32 values overflows. ``message(i, text)`` places an error; last row wins."""
-    bad = np.flatnonzero(~np.isfinite(vectors.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        raise DataError(message(bad[0], f"non-finite component for {words[bad[0]]!r}"))
-    return EmbeddingModel(vectors, dict(zip(words, range(len(words)))))
+class _Rows:
+    """A loader's entries, added in file order a block at a time. Every row
+    is checked finite (no float64 sum of finite float32 values overflows);
+    ``model`` raises the first bad one after the loader's own checks. Without
+    a vocabulary each entry has its own row; with one, each kept word has one
+    row that a later occurrence overwrites, so ``min(n_words, len(vocabulary))``
+    rows suffice."""
+
+    def __init__(self, n_words: int, dim: int, vocabulary: AbstractSet[str] | None):
+        self.vocabulary = vocabulary
+        rows = n_words if vocabulary is None else min(n_words, len(vocabulary))
+        self.vectors = np.empty((rows, dim), dtype="<f4")
+        self.index: dict[str, int] = {}
+        self.n = 0  # entries added
+        self.bad = None  # (place, word) of the first non-finite entry
+
+    def add(self, block: np.ndarray, words: list[str], places=None) -> None:
+        """Add the next ``len(words)`` entries, whose rows are ``block``; an
+        entry's place in a message is ``places[j]``, by default its number.
+        A block that is already the next rows of ``vectors`` is not copied."""
+        bad = np.flatnonzero(~np.isfinite(block.sum(axis=1, dtype=np.float64)))
+        if bad.size and self.bad is None:
+            j = bad[0]
+            self.bad = (self.n + j if places is None else places[j], words[j])
+        if self.vocabulary is None:
+            rows = range(self.n, self.n + len(words))
+            self.vectors[rows.start:rows.stop] = block
+            self.index.update(zip(words, rows))
+        else:
+            keep = {}  # row -> the block's last entry for it
+            for j, word in enumerate(words):
+                if word in self.vocabulary:
+                    keep[self.index.setdefault(word, len(self.index))] = j
+            self.vectors[list(keep)] = block[list(keep.values())]
+        self.n += len(words)
+
+    def model(self, message) -> EmbeddingModel:
+        """The kept rows; ``message(place, text)`` places a non-finite row."""
+        if self.bad is not None:
+            place, word = self.bad
+            raise DataError(message(place, f"non-finite component for {word!r}"))
+        used = self.n if self.vocabulary is None else len(self.index)
+        return EmbeddingModel(self.vectors[:used], self.index)
 
 
-def _load_text(path: Path) -> tuple:
+def _parse_block(path: Path, rests: list[str], linenos: list[int], dim: int) -> np.ndarray:
+    """The float32 rows of a block's component strings. On an error the
+    rows are parsed one at a time to find the first bad one's line, since
+    loadtxt's ``at row`` counts within the block, from 0 or 1 by message."""
+    try:
+        return np.loadtxt(rests, dtype=np.float32, comments=None, ndmin=2)
+    except ValueError:
+        for rest, lineno in zip(rests, linenos):
+            try:
+                width = np.loadtxt([rest], dtype=np.float32, comments=None, ndmin=2).shape[1]
+            except ValueError as exc:
+                text = re.sub(r" at row \d+, column (\d+)\.$", r" (component \1)", str(exc))
+                raise DataError(line_message(path, lineno, text)) from None
+            if width != dim:
+                raise DataError(line_message(
+                    path, lineno, f"vector has {width} components, expected {dim}")) from None
+        raise
+
+
+def _load_text(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingModel:
     with read_lines(path) as lines:
         rows = iter(lines)
         _, header = next(rows, (0, ""))
         n_words, dim = _header(header, path, path.stat().st_size, 2)
-        words, linenos = [], []
+        kept, error = _Rows(n_words, dim, vocabulary), None
+        while error is None and kept.n < n_words:
+            words, linenos, rests = [], [], []
+            try:
+                for lineno, line in islice(rows, min(BLOCK_ROWS, n_words - kept.n)):
+                    parts = line.split(None, 1)
+                    if not parts:
+                        raise ValueError("whitespace-only line")
+                    width = dim if rests and len(parts) == 2 else len(line.split()) - 1
+                    if width != dim:  # a block's first row sets loadtxt's width
+                        raise ValueError(f"vector has {width} components, expected {dim}")
+                    words.append(normalize_token(parts[0]))
+                    linenos.append(lineno)
+                    rests.append(parts[1])
+            except (ValueError, DataError) as exc:  # raised after the rows above it
+                error = exc
+            if not rests:
+                break
+            kept.add(_parse_block(path, rests, linenos, dim), words, linenos)
+        if error is not None:
+            raise error  # read_lines places a ValueError on the line it last read
+        n_rows = kept.n + sum(1 for _ in rows)
+        if n_rows != n_words:
+            raise DataError(f"{path}: header declares {n_words} entries "
+                            f"but file has {n_rows}")
+    return kept.model(lambda lineno, text: line_message(path, lineno, text))
 
-        def rests():
-            for lineno, line in islice(rows, n_words):
-                parts = line.split(None, 1)
-                if not parts:
-                    raise ValueError("whitespace-only line")
-                width = dim if words and len(parts) == 2 else len(line.split()) - 1
-                if width != dim:  # loadtxt skips an empty rest; row 1 sets its width
-                    raise ValueError(f"vector has {width} components, expected {dim}")
-                words.append(normalize_token(parts[0]))
-                linenos.append(lineno)
-                yield parts[1]
-            n_rows = len(words) + sum(1 for _ in rows)
-            if n_rows != n_words:
-                raise DataError(f"{path}: header declares {n_words} entries "
-                                f"but file has {n_rows}")
 
-        try:
-            vectors = np.loadtxt(rests(), dtype=np.float32, comments=None, ndmin=2)
-        except ValueError as exc:  # loadtxt pulls lazily: read_lines adds the line
-            text = re.sub(r" at row \d+, column (\d+)\.$", r" (component \1)", str(exc))
-            changed = re.match(r"the number of columns changed from \d+ to (\d+)", text)
-            raise ValueError(f"vector has {changed[1]} components, expected {dim}"
-                             if changed else text) from None
-    return vectors, words, lambda i, text: line_message(path, linenos[i], text)
-
-
-def _load_binary(path: Path) -> tuple:
+def _load_binary(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingModel:
     blocks, data, pos = read_blocks(path), bytearray(), 0
 
     def find(sep: bytes, then: int = 0) -> int:
@@ -198,8 +264,11 @@ def _load_binary(path: Path) -> tuple:
         raise DataError(f"{path}: missing header line")
     n_words, dim = _header(data[:nl].decode("utf-8", errors="replace"), path,
                            path.stat().st_size, 4)
-    vectors = np.empty((n_words, dim), dtype="<f4")
-    out, vec_bytes, pos = memoryview(vectors).cast("B"), 4 * dim, nl + 1
+    kept = _Rows(n_words, dim, vocabulary)
+    # Without a vocabulary every entry is copied straight into its matrix row.
+    stage = (kept.vectors if vocabulary is None
+             else np.empty((min(n_words, BLOCK_ROWS), dim), dtype="<f4"))
+    out, vec_bytes, pos = memoryview(stage).cast("B"), 4 * dim, nl + 1
     words: list[str] = []
     for i in range(n_words):  # lstrip skips a newline run before an entry
         if (sp := find(b" ", vec_bytes)) < 0:
@@ -208,11 +277,14 @@ def _load_binary(path: Path) -> tuple:
             words.append(normalize_token(data[pos:sp].lstrip(b"\n").decode("utf-8")))
         except UnicodeDecodeError:
             raise DataError(f"{path}: entry {i}: undecodable word bytes") from None
-        pos = sp + 1 + vec_bytes
-        out[i * vec_bytes : (i + 1) * vec_bytes] = data[sp + 1 : pos]
+        j, pos = len(words) - 1, sp + 1 + vec_bytes
+        out[j * vec_bytes : (j + 1) * vec_bytes] = data[sp + 1 : pos]
+        if len(words) == len(stage) or i == n_words - 1:
+            kept.add(stage[:len(words)], words)
+            words = []
     if data[pos:].strip(b"\n") or any(bytes(b).strip(b"\n") for b in blocks):
         raise DataError(f"{path}: trailing data after {n_words} declared entries")
-    return vectors, words, lambda i, text: f"{path}: entry {i}: {text}"
+    return kept.model(lambda i, text: f"{path}: entry {i}: {text}")
 
 
 def write_embeddings(model: EmbeddingModel, path: str | Path, fmt: str = "text") -> None:

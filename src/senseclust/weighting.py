@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .errors import DataError, read_lines, split_fields, write_text
 from .text import normalize_token
@@ -145,8 +145,13 @@ def write_idf_tsv(table: IdfTable, path: str | Path) -> None:
                            (f"{word}\t{table.df[word]}\n" for word in sorted(table.df))))
 
 
-def read_idf_tsv(path: str | Path) -> IdfTable:
-    """Read one ``# n_docs=N`` header, then ``word<TAB>df`` rows."""
+def read_idf_tsv(path: str | Path, vocabulary: AbstractSet[str] | None = None) -> IdfTable:
+    """Read one ``# n_docs=N`` header, then ``word<TAB>df`` rows.
+
+    Every row is read and checked; with a ``vocabulary`` (a set of
+    normalized words), only its words' rows are kept. ``n_docs``, and so
+    the idf of a word without a row, are the same either way.
+    """
     table = None
     with read_lines(path) as lines:
         for _, line in lines:
@@ -162,7 +167,8 @@ def read_idf_tsv(path: str | Path) -> IdfTable:
                 raise ValueError("df row before the '# n_docs=...' header")
             word, d = normalize_token(word), int(raw)
             table.check_df(word, d)
-            table.df[word] = d
+            if vocabulary is None or word in vocabulary:
+                table.df[word] = d
     if table is None:
         raise DataError(f"{path}: missing '# n_docs=...' header")
     return table

@@ -5,14 +5,18 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from senseclust import cli
 from senseclust.cli import main
-from senseclust.cluster import ClusteringConfig
-from senseclust.embeddings import write_embeddings
-from senseclust.search import parse_preference
-from senseclust.weighting import WeightingConfig
+from senseclust.cluster import ClusteringConfig, cluster
+from senseclust.dataset import parse_dataset, write_predictions
+from senseclust.embeddings import load_embeddings, write_embeddings
+from senseclust.evaluate import Labeling
+from senseclust.search import grid_search, parse_preference, parse_space_file, ranked_csv
+from senseclust.vectorize import vectorize_dataset
+from senseclust.weighting import WeightingConfig, build_chi2, read_idf_tsv, write_idf_tsv
 
 import synthetic
 
@@ -426,6 +430,88 @@ def test_norm_report(workspace):
     assert r1 == (workspace / "r2.tsv").read_bytes()
     assert r1.decode().splitlines()[0] == "word\tfrequency\tnorm"
     assert len(r1.decode().strip().splitlines()) == 21
+
+
+@pytest.fixture()
+def padded(workspace):
+    """The workspace plus an embedding file, an idf table and a frequency
+    table that hold 40 words no context of ``train.tsv`` holds."""
+    model = synthetic.build_model(seed=0)
+    rng = np.random.default_rng(1)
+    entries = {word: model.vectors[row] for word, row in model.index.items()}
+    extra = [f"zz{i}" for i in range(40)]
+    entries.update((word, rng.standard_normal(model.dim).astype(np.float32)) for word in extra)
+    write_embeddings(synthetic.model_from_entries(entries), workspace / "whole.txt")
+    idf = synthetic.build_background_idf()
+    idf.df.update((word, 7) for word in extra)
+    write_idf_tsv(idf, workspace / "whole-idf.tsv")
+    (workspace / "whole-freqs.tsv").write_text(
+        "".join(f"{w}\t{i + 1}\n" for i, w in enumerate(entries)), encoding="utf-8")
+    return workspace
+
+
+def test_cluster_and_grid_search_hold_only_the_dataset_rows(padded, monkeypatch):
+    """Each command keeps only the rows of its dataset's kept tokens, and its
+    outputs are byte-identical to a library run with the whole model."""
+    ws, held = padded, []
+
+    def spy(load):
+        def wrapper(*args, **kwargs):
+            table = load(*args, **kwargs)
+            held.append(len(getattr(table, "df", table)))
+            return table
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_embeddings", spy(load_embeddings))
+    monkeypatch.setattr(cli, "read_idf_tsv", spy(read_idf_tsv))
+    dataset = parse_dataset(ws / "train.tsv")
+    model, idf = load_embeddings(ws / "whole.txt"), read_idf_tsv(ws / "whole-idf.tsv")
+    chi2 = build_chi2(dataset)
+    vocabulary = {tok for inst in dataset.instances for tok in inst.kept}
+    inputs = ("--embeddings", ws / "whole.txt", "--dataset", ws / "train.tsv",
+              "--idf", ws / "whole-idf.tsv")
+
+    wcfg = WeightingConfig(p_tfidf=1.5, p_chi2=0.5)
+    for flags, ccfg in ((("--k", "2"), ClusteringConfig(n_clusters=2)),
+                        (("--algo", "affinity_propagation"),
+                         ClusteringConfig(algorithm="affinity_propagation"))):
+        assert run_cli("cluster", *inputs, *flags, "--p-tfidf", "1.5", "--p-chi2", "0.5",
+                       "--out", ws / "cli.tsv") == 0
+        labels = {}
+        for ids, X in vectorize_dataset(dataset, model, idf, chi2, wcfg).values():
+            labels.update(zip(ids, map(str, cluster(X, ccfg).labels)))
+        write_predictions(dataset, Labeling(labels), ws / "library.tsv")
+        assert (ws / "cli.tsv").read_bytes() == (ws / "library.tsv").read_bytes()
+
+    (ws / "space.cfg").write_text("power_grid = 0, 1\nk_grid = 2, 3\nlinkages = ward\n"
+                                  "damping_grid = 0.5\n", encoding="utf-8")
+    assert run_cli("grid-search", *inputs, "--space", ws / "space.cfg",
+                   "--out-ranked", ws / "ranked.csv") == 0
+    result = grid_search(dataset, model, idf, chi2, parse_space_file(ws / "space.cfg"))
+    assert (ws / "ranked.csv").read_text(encoding="utf-8") == ranked_csv(result)
+
+    rows = (len(vocabulary & set(model.index)), len(vocabulary & set(idf.df)))
+    assert rows[0] < len(model) and rows[1] < len(idf.df)
+    assert held == list(rows) * 3
+
+
+def test_norm_report_samples_the_whole_model(padded):
+    ws = padded
+    assert run_cli("norm-report", "--embeddings", ws / "whole.txt",
+                   "--freqs", ws / "whole-freqs.tsv", "--sample-size", "10000",
+                   "--out", ws / "report.tsv") == 0
+    words = {line.split("\t")[0] for line in
+             (ws / "report.tsv").read_text(encoding="utf-8").splitlines()[1:]}
+    assert words == set(load_embeddings(ws / "whole.txt").index)
+    assert {f"zz{i}" for i in range(40)} <= words
+
+
+def test_cluster_blames_a_bad_dataset_before_a_missing_embeddings_file(workspace, capsys):
+    bad = workspace / "bad.tsv"
+    bad.write_text("context_id\tword\n", encoding="utf-8")
+    assert run_cli("cluster", "--embeddings", workspace / "missing.txt", "--dataset", bad,
+                   "--p-tfidf", "0", "--out", workspace / "x.tsv") == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_grid_search_cli(workspace, capsys):

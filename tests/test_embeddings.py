@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from senseclust import errors
+from senseclust import embeddings, errors
 from senseclust.embeddings import (EmbeddingModel, FrequencyTable, load_embeddings,
                                    load_frequency_table, norm_frequency_report,
                                    write_embeddings)
@@ -79,8 +79,67 @@ def test_non_finite_rejected(tmp_path):
     ("1 2\na 1 \uff11\n", "line 2: could not convert string '\uff11' to float32 (component 2)"),
 ])
 def test_text_errors_name_their_line(tmp_path, content, message):
-    with pytest.raises(DataError, match=re.escape(f"emb.txt: {message}") + "$"):
-        load_embeddings(write_text(tmp_path, content))
+    path = write_text(tmp_path, content)
+    for vocabulary in vocabularies(content, int(re.match(r"line (\d+)", message)[1])):
+        with pytest.raises(DataError, match=re.escape(f"emb.txt: {message}") + "$"):
+            load_embeddings(path, vocabulary=vocabulary)
+
+
+def vocabularies(content, lineno):
+    """Every row kept (None), none kept, and every word kept but line ``lineno``'s:
+    a bad row is an error whether or not its word is kept."""
+    lines = content.splitlines()[1:]
+    others = {normalize_token(line.split()[0]) for n, line in enumerate(lines, start=2)
+              if n != lineno and line.split()}
+    return None, set(), others
+
+
+def numbered_rows(n_words, bad_entry, bad_line):
+    """A dim-2 text file of ``n_words`` entries, entry ``bad_entry`` replaced by
+    ``bad_line``; returns the content and that entry's line number."""
+    rows = [f"w{i} {i} 0.5" for i in range(n_words)]
+    rows[bad_entry] = bad_line
+    return f"{n_words} 2\n" + "\n".join(rows) + "\n", bad_entry + 2
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("bad_line, message", [
+    ("x 1 y", "could not convert string 'y' to float32 (component 2)"),
+    ("x 1", "vector has 1 components, expected 2"),
+    ("x 1 0 1", "vector has 3 components, expected 2"),
+    ("x 1 inf", "non-finite component for 'x'"),
+    (" \t ", "whitespace-only line"),
+])
+def test_text_errors_in_later_blocks_name_their_line(tmp_path, monkeypatch, block,
+                                                     bad_line, message):
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", block)
+    for bad_entry in range(7):  # first, middle and last rows of a block
+        content, lineno = numbered_rows(7, bad_entry, bad_line)
+        path = write_text(tmp_path, content)
+        for vocabulary in vocabularies(content, lineno):
+            with pytest.raises(DataError) as info:
+                load_embeddings(path, vocabulary=vocabulary)
+            assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("block", [1, 2, 256])
+def test_text_errors_keep_their_order(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", block)
+    for content, message in (
+            # an earlier bad number beats a later wrong width or bad byte
+            (b"4 2\na 1 0\nb 1 x\nc 1\nd 0 0\n",
+             "line 3: could not convert string 'x' to float32 (component 2)"),
+            (b"3 2\na 1 0\nb 1 x\nc\xff 0 0\n",
+             "line 3: could not convert string 'x' to float32 (component 2)"),
+            # a non-finite row, kept or dropped, is raised after every other check
+            (b"3 2\na nan 0\nb 1 0\nc 1\n", "line 4: vector has 1 components, expected 2"),
+            (b"2 2\na nan 0\nb 1 0\nc 1 1\n", "header declares 2 entries but file has 3")):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(content)
+        for vocabulary in (None, set(), {"b"}):
+            with pytest.raises(DataError) as info:
+                load_embeddings(path, vocabulary=vocabulary)
+            assert str(info.value) == f"{path}: {message}"
 
 
 def test_lone_cr_among_components_is_an_error(tmp_path):
@@ -212,9 +271,16 @@ def test_binary_non_finite(tmp_path):
                                 for word, value in ((b"w", 0.0), (b"x", 1.0), (b"Y", -np.inf),
                                                     (b"z", np.nan)))
     path.write_bytes(blob)
-    with pytest.raises(DataError, match=re.escape(
-            "emb.bin: entry 2: non-finite component for 'y'") + "$"):
-        load_embeddings(path, fmt="binary")
+    for vocabulary in (None, set(), {"w", "x", "z"}):
+        with pytest.raises(DataError, match=re.escape(
+                "emb.bin: entry 2: non-finite component for 'y'") + "$"):
+            load_embeddings(path, fmt="binary", vocabulary=vocabulary)
+    # a dropped non-finite entry is raised after every other check
+    path.write_bytes(blob[:-3])
+    for vocabulary in (None, set(), {"w", "x", "z"}):
+        with pytest.raises(DataError, match=re.escape(
+                "emb.bin: header declares 4 entries but file has 3") + "$"):
+            load_embeddings(path, fmt="binary", vocabulary=vocabulary)
 
 
 VEC = struct.pack("<2f", 1.0, 2.0)
@@ -234,9 +300,10 @@ BINARY_ERRORS = [  # (file, its message after "<path>: ")
 def assert_binary_error(tmp_path, blob, message):
     path = tmp_path / "emb.bin"
     path.write_bytes(blob)
-    with pytest.raises(DataError) as info:
-        load_embeddings(path, fmt="binary")
-    assert str(info.value) == f"{path}: {message}"
+    for vocabulary in (None, set(), {"x"}):  # "x" is the one good entry's word
+        with pytest.raises(DataError) as info:
+            load_embeddings(path, fmt="binary", vocabulary=vocabulary)
+        assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("blob, message", BINARY_ERRORS)
@@ -277,28 +344,98 @@ def test_blocked_binary_read_equals_one_block_read(data, dim):
     assert blocked.index == whole.index
 
 
-def test_binary_load_peaks_near_the_matrix(tmp_path):
-    """The file is read in blocks into the matrix, not whole beside it."""
-    n_words, dim = 10_000, 200
-    vectors = np.random.default_rng(0).standard_normal((n_words, dim), dtype=np.float32)
-    path = tmp_path / "emb.bin"
-    write_embeddings(EmbeddingModel(vectors, {f"w{i}": i for i in range(n_words)}), path,
-                     fmt="binary")
-    assert path.stat().st_size > 8_000_000
-    del vectors
-    # A first load, kept alive, interns the words. Interning them inside the
-    # trace could resize CPython's process-wide table of interned strings, or
-    # not, depending on how many strings earlier tests interned; the traced
-    # load finds them interned and peaks at the loader's own buffers alone.
-    first = load_embeddings(path, fmt="binary")
+def entry_file(path, fmt, words, vectors):
+    """A text or binary file of one entry per word, duplicates included."""
+    header = f"{len(words)} {vectors.shape[1]}\n".encode()
+    if fmt == "text":
+        path.write_bytes(header + "".join(
+            word + "".join(f" {float(v)!r}" for v in vec) + "\n"
+            for word, vec in zip(words, vectors)).encode())
+    else:
+        path.write_bytes(header + b"".join(word.encode() + b" " + vec.astype("<f4").tobytes()
+                                           for word, vec in zip(words, vectors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["text", "binary"]),
+       block=st.sampled_from([1, 2, 3]), dim=st.integers(1, 3))
+def test_pruned_load_keeps_the_full_rows(data, fmt, block, dim):
+    """A vocabulary keeps the full model's rows of its words, however words
+    repeat (as written or after normalization) and rows fall into blocks."""
+    words = data.draw(st.lists(st.sampled_from(["a", "A", "b", "c", "d", "é", "É"]),
+                               min_size=1, max_size=9))
+    vocabulary = data.draw(st.sets(st.sampled_from(["a", "b", "c", "é", "zz"])))
+    vectors = np.array(data.draw(st.lists(
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+        min_size=len(words) * dim, max_size=len(words) * dim)),
+        dtype=np.float32).reshape(len(words), dim)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb"
+        entry_file(path, fmt, words, vectors)
+        mp.setattr(embeddings, "BLOCK_ROWS", block)
+        full = load_embeddings(path, fmt)
+        pruned = load_embeddings(path, fmt, vocabulary=vocabulary)
+    assert list(pruned.index) == [word for word in full.index if word in vocabulary]
+    for word, row in pruned.index.items():
+        assert pruned.vectors[row].tobytes() == full.vectors[full.index[word]].tobytes()
+        last = max(i for i, w in enumerate(words) if normalize_token(w) == word)
+        assert pruned.vectors[row].tobytes() == vectors[last].tobytes()
+    assert len(pruned.vectors) == len(pruned.index) <= min(len(words), len(vocabulary))
+    assert pruned.n_duplicates == 0
+    assert full.n_duplicates == len(words) - len(full.index)
+
+
+def load_peak(path, fmt, vocabulary=None):
+    """The model of a second load and that load's tracemalloc peak.
+
+    A first load, kept alive, interns every word of the file. Interning them
+    inside the trace could resize CPython's process-wide table of interned
+    strings, or not, depending on how many strings earlier tests interned;
+    the traced load finds them interned and peaks at the loader's own
+    buffers alone.
+    """
+    first = load_embeddings(path, fmt)
     tracemalloc.start()
     try:
-        model = load_embeddings(path, fmt="binary")
+        model = load_embeddings(path, fmt, vocabulary=vocabulary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(first) == 10_000
+    return model, peak
+
+
+def big_file(tmp_path, fmt):
+    """A 10,000 x 200 model file and the nbytes of its whole matrix."""
+    n_words, dim = 10_000, 200
+    vectors = np.random.default_rng(0).standard_normal((n_words, dim), dtype=np.float32)
+    path = tmp_path / f"emb.{fmt}"
+    if fmt == "binary":
+        write_embeddings(EmbeddingModel(vectors, {f"w{i}": i for i in range(n_words)}), path,
+                         fmt="binary")
+    else:  # six decimals, written faster than by write_embeddings
+        path.write_text(f"{n_words} {dim}\n" + "".join(
+            f"w{i} " + " ".join(np.char.mod("%.6f", row)) + "\n"
+            for i, row in enumerate(vectors)), encoding="utf-8")
+    return path, vectors.nbytes
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_pruned_load_peaks_below_half_the_matrix(tmp_path, fmt):
+    """Every row is read, but only the vocabulary's 10% are held."""
+    path, nbytes = big_file(tmp_path, fmt)
+    vocabulary = {f"w{i}" for i in range(0, 10_000, 10)}
+    model, peak = load_peak(path, fmt, vocabulary)
+    assert len(model) == 1_000
+    assert peak < 0.5 * nbytes
+
+
+def test_binary_load_peaks_near_the_matrix(tmp_path):
+    """The file is read in blocks into the matrix, not whole beside it."""
+    path, _ = big_file(tmp_path, "binary")
+    assert path.stat().st_size > 8_000_000
+    model, peak = load_peak(path, "binary")
     assert peak < 1.3 * model.vectors.nbytes
-    assert len(first) == len(model)
 
 
 @pytest.mark.parametrize("fmt", ["text", "binary"])

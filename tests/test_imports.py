@@ -14,6 +14,7 @@ from pathlib import Path
 
 import senseclust
 import senseclust.cluster as cluster_module
+import senseclust.evaluate as evaluate_module
 
 PACKAGE = Path(senseclust.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -205,6 +206,13 @@ def test_the_cluster_submodule_is_not_shadowed():
     # The package exports no name of a submodule, so ``import ... as`` and
     # ``monkeypatch.setattr`` reach the module.
     assert inspect.ismodule(cluster_module)
+
+
+def test_the_evaluate_submodule_is_not_shadowed(monkeypatch):
+    assert inspect.ismodule(evaluate_module)
+    marker = object()
+    monkeypatch.setattr("senseclust.evaluate.ari_rows", marker)
+    assert evaluate_module.ari_rows is marker
 
 
 # Modules that reach into a BLAS library, and ``os`` names for the environment.

@@ -339,6 +339,8 @@ def test_idf_tsv_round_trip(tmp_path):
     write_idf_tsv(table, path)
     back = read_idf_tsv(path)
     assert back.n_docs == 42 and back.df == table.df
+    kept = read_idf_tsv(path, vocabulary={"банк", "zz"})
+    assert kept.n_docs == 42 and kept.df == {"банк": 3}
     for text, lineno in (("# n_docs=4\na\t1.5\n", 2),
                          ("# n_docs=many\na\t1\n", 1),
                          ("# n_docs=4\na\t5\n", 2),
@@ -347,8 +349,12 @@ def test_idf_tsv_round_trip(tmp_path):
                          ("a\t1\n# n_docs=4\n", 1),
                          ("# n_docs=4\n# n_docs=2\n", 2)):
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match=f"idf.tsv: line {lineno}: "):
-            read_idf_tsv(path)
+        messages = set()
+        for vocabulary in (None, set(), {"b"}):  # the bad row's word is "a"
+            with pytest.raises(DataError, match=f"idf.tsv: line {lineno}: ") as info:
+                read_idf_tsv(path, vocabulary=vocabulary)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 def test_chi2_tsv_round_trip(tmp_path):
