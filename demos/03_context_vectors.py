@@ -13,6 +13,7 @@ import numpy as np
 
 import senseclust as sc
 from senseclust.dataset import ContextInstance
+from senseclust.vectorize import vectorize
 
 tokens = ["банках", "хранят", "банки", "огурцы", "бак"]
 print("tokens:            ", tokens)
@@ -31,18 +32,18 @@ chi2 = sc.Chi2Table(values={("банка", "хранят"): 3.0, ("банка", 
 inst = ContextInstance(context_id="c1", target="банка", gold_sense=None,
                        target_spans=[], raw_context=" ".join(tokens))
 
-cv = sc.vectorize(inst, model, idf, chi2, sc.WeightingConfig(p_tfidf=1.0,
-                                                             p_chi2=1.0))
+cv = vectorize(inst, model, idf, chi2, sc.WeightingConfig(p_tfidf=1.0,
+                                                          p_chi2=1.0))
 print("context vector:", np.round(cv.v, 4))
 print("unit norm:", round(float(np.linalg.norm(cv.v)), 12),
       "| contributing tokens:", cv.n_contributing)
 
 scaled = sc.Chi2Table(values={k: 100.0 * v for k, v in chi2.values.items()})
-cv_scaled = sc.vectorize(inst, model, idf, scaled,
-                         sc.WeightingConfig(p_tfidf=1.0, p_chi2=1.0))
+cv_scaled = vectorize(inst, model, idf, scaled,
+                      sc.WeightingConfig(p_tfidf=1.0, p_chi2=1.0))
 print("\nscaling every weight by 100 changes nothing:",
       np.allclose(cv.v, cv_scaled.v, atol=1e-12))
 
-plain = sc.vectorize(inst, model, idf, chi2, sc.WeightingConfig(0.0, 0.0))
+plain = vectorize(inst, model, idf, chi2, sc.WeightingConfig(0.0, 0.0))
 print("(0, 0) exponents reduce to the plain average direction:",
       np.round(plain.v, 4))

@@ -14,6 +14,7 @@ import numpy as np
 
 import senseclust as sc
 from senseclust.evaluate import evaluate
+from senseclust.vectorize import vectorize
 
 rng = np.random.default_rng(0)
 
@@ -68,7 +69,7 @@ ccfg = sc.ClusteringConfig(algorithm="agglomerative", n_clusters=2,
                            linkage="ward")
 assignments = {}
 for word, idxs in dataset.by_target.items():
-    X = np.vstack([sc.vectorize(dataset.instances[i], model, idf, chi2, wcfg).v
+    X = np.vstack([vectorize(dataset.instances[i], model, idf, chi2, wcfg).v
                    for i in idxs])
     labels = sc.agglomerative(X, ccfg).labels
     for i, lab in zip(idxs, labels):

@@ -13,7 +13,7 @@ from .porter import porter_stem
 from .search import (SearchResult, SearchSpace, export_k_linkage_sweep,
                      export_power_heatmap, grid_search, serialize_config)
 from .text import exclude_target, tokenize
-from .vectorize import ContextVector, vectorize, vectorize_dataset
+from .vectorize import ContextVector, vectorize_dataset
 from .weighting import (Chi2Table, IdfTable, WeightingConfig, build_chi2,
                         build_idf, chi2_statistic)
 
@@ -30,6 +30,6 @@ __all__ = [
     "grid_search", "label_by_translation", "load_embeddings",
     "load_frequency_table", "norm_frequency_report", "parse_dataset",
     "pairwise_distances", "porter_stem", "read_translations",
-    "serialize_config", "tokenize", "vectorize",
-    "vectorize_dataset", "write_embeddings", "write_predictions",
+    "serialize_config", "tokenize", "vectorize_dataset", "write_embeddings",
+    "write_predictions",
 ]

@@ -190,23 +190,8 @@ class _Rows:
         return EmbeddingModel(self.vectors[:used], self.index)
 
 
-def _parse_block(path: Path, rests: list[str], linenos: list[int], dim: int) -> np.ndarray:
-    """The float32 rows of a block's component strings. On an error the
-    rows are parsed one at a time to find the first bad one's line, since
-    loadtxt's ``at row`` counts within the block, from 0 or 1 by message."""
-    try:
-        return np.loadtxt(rests, dtype=np.float32, comments=None, ndmin=2)
-    except ValueError:
-        for rest, lineno in zip(rests, linenos):
-            try:
-                width = np.loadtxt([rest], dtype=np.float32, comments=None, ndmin=2).shape[1]
-            except ValueError as exc:
-                text = re.sub(r" at row \d+, column (\d+)\.$", r" (component \1)", str(exc))
-                raise DataError(line_message(path, lineno, text)) from None
-            if width != dim:
-                raise DataError(line_message(
-                    path, lineno, f"vector has {width} components, expected {dim}")) from None
-        raise
+def _count_error(path: Path, n_words: int, n_entries: int) -> DataError:
+    return DataError(f"{path}: header declares {n_words} entries but file has {n_entries}")
 
 
 def _load_text(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingModel:
@@ -214,31 +199,38 @@ def _load_text(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingMode
         rows = iter(lines)
         _, header = next(rows, (0, ""))
         n_words, dim = _header(header, path, path.stat().st_size, 2)
-        kept, error = _Rows(n_words, dim, vocabulary), None
-        while error is None and kept.n < n_words:
-            words, linenos, rests = [], [], []
+        kept = _Rows(n_words, dim, vocabulary)
+
+        def block(size: int, words: list[str], linenos: list[int]):
+            """The components of the next ``size`` lines, recording each word and
+            line number. loadtxt parses each line as it pulls it, so a bad line
+            fails while it is the line last read."""
+            for lineno, line in islice(rows, size):
+                parts = line.split(None, 1)
+                if not parts:
+                    raise ValueError("whitespace-only line")
+                width = dim if words and len(parts) == 2 else len(line.split()) - 1
+                if width != dim:  # a block's first row sets loadtxt's width
+                    raise ValueError(f"vector has {width} components, expected {dim}")
+                words.append(normalize_token(parts[0]))
+                linenos.append(lineno)
+                yield parts[1]
+            if len(words) < size:  # before loadtxt sees a short or empty input
+                raise _count_error(path, n_words, kept.n + len(words))
+
+        while kept.n < n_words:
+            words, linenos = [], []
             try:
-                for lineno, line in islice(rows, min(BLOCK_ROWS, n_words - kept.n)):
-                    parts = line.split(None, 1)
-                    if not parts:
-                        raise ValueError("whitespace-only line")
-                    width = dim if rests and len(parts) == 2 else len(line.split()) - 1
-                    if width != dim:  # a block's first row sets loadtxt's width
-                        raise ValueError(f"vector has {width} components, expected {dim}")
-                    words.append(normalize_token(parts[0]))
-                    linenos.append(lineno)
-                    rests.append(parts[1])
-            except (ValueError, DataError) as exc:  # raised after the rows above it
-                error = exc
-            if not rests:
-                break
-            kept.add(_parse_block(path, rests, linenos, dim), words, linenos)
-        if error is not None:
-            raise error  # read_lines places a ValueError on the line it last read
-        n_rows = kept.n + sum(1 for _ in rows)
-        if n_rows != n_words:
-            raise DataError(f"{path}: header declares {n_words} entries "
-                            f"but file has {n_rows}")
+                vectors = np.loadtxt(block(min(BLOCK_ROWS, n_words - kept.n), words, linenos),
+                                     dtype=np.float32, comments=None, ndmin=2)
+            except ValueError as exc:  # read_lines places it on the line last read
+                text = re.sub(r" at row \d+, column (\d+)\.$", r" (component \1)", str(exc))
+                raise ValueError(re.sub(r"^the number of columns changed from \d+ to (\d+) .*",
+                                        rf"vector has \1 components, expected {dim}", text)
+                                 ) from None
+            kept.add(vectors, words, linenos)
+        if extra := sum(1 for _ in rows):
+            raise _count_error(path, n_words, n_words + extra)
     return kept.model(lambda lineno, text: line_message(path, lineno, text))
 
 
@@ -272,7 +264,7 @@ def _load_binary(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingMo
     words: list[str] = []
     for i in range(n_words):  # lstrip skips a newline run before an entry
         if (sp := find(b" ", vec_bytes)) < 0:
-            raise DataError(f"{path}: header declares {n_words} entries but file has {i}")
+            raise _count_error(path, n_words, i)
         try:
             words.append(normalize_token(data[pos:sp].lstrip(b"\n").decode("utf-8")))
         except UnicodeDecodeError:

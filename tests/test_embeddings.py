@@ -155,6 +155,102 @@ def test_header_only_file_warns_nothing(tmp_path):
             load_embeddings(write_text(tmp_path, "1 1\n\n"))
 
 
+FOUR_ROWS = "a 1.5 0.25\nb 0.25 1.5\nc 1.5 1.5\nd 0.25 0.25\n"  # two blocks of two
+
+
+@pytest.mark.parametrize("content, message", [
+    ("1 1\n", "header declares 1 entries but file has 0"),
+    # the third block of two has no line, so loadtxt must not be called on it
+    ("5 2\n" + FOUR_ROWS, "header declares 5 entries but file has 4"),
+    # a final block of one line
+    ("5 2\n" + FOUR_ROWS + "e 1\n", "line 6: vector has 1 components, expected 2"),
+    ("5 2\n" + FOUR_ROWS + "e 1 y\n",
+     "line 6: could not convert string 'y' to float32 (component 2)"),
+    ("4 2\n" + FOUR_ROWS + "e 1.5 0.25\nf 0 1\n", "header declares 4 entries but file has 6"),
+])
+def test_text_errors_at_block_boundaries(tmp_path, monkeypatch, content, message):
+    monkeypatch.setattr(embeddings, "BLOCK_ROWS", 2)
+    path = write_text(tmp_path, content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as info:
+            load_embeddings(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+TEXT_DEFECTS = ["number", "narrow", "wide", "blank", "utf8", "non-finite", "missing",
+                "extra"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), defect=st.sampled_from(TEXT_DEFECTS + [None]))
+def test_text_errors_do_not_depend_on_blocks_or_vocabulary(data, dim, defect):
+    """One defect at a drawn line gives one message, whatever the block size
+    and whichever words are kept; a clean file gives one model. Components of
+    three characters or more keep a short file above the header's size check."""
+    n_words = data.draw(st.integers(1 + (defect == "missing"), 8), label="n_words")
+    values = st.sampled_from(["0.0", "1.5", "-2.", ".25", "3e-1"])
+    entries = [[f"w{i}".encode()] + [data.draw(values).encode() for _ in range(dim)]
+               for i in range(n_words)]
+    at = data.draw(st.integers(0, n_words - 1), label="at")
+    word = f"w{at}"
+    component = data.draw(st.integers(1, dim), label="component")
+    if defect == "number":
+        entries[at][component] = b"x"
+    elif defect == "narrow":
+        del entries[at][component]
+    elif defect == "wide":
+        entries[at].append(b"1")
+    elif defect == "blank":
+        entries[at] = [b" \t"]
+    elif defect == "utf8":
+        entries[at][0] += b"\xff"
+    elif defect == "non-finite":
+        entries[at][component] = data.draw(st.sampled_from([b"nan", b"inf", b"-inf"]))
+    elif defect == "missing":
+        del entries[at]
+    elif defect == "extra":
+        word = "extra"
+        entries.insert(at, [b"extra"] + [b"1"] * dim)
+    blanks = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+    lines, linenos = [f"{n_words} {dim}".encode()], []
+    for entry, blank in zip(entries, blanks):
+        lines += [b""] * blank + [b" ".join(entry)]
+        linenos.append(len(lines))
+    lineno = linenos[at] if defect not in (None, "missing", "extra") else None
+    expected = {
+        "number": f"line {lineno}: could not convert string 'x' to float32 "
+                  f"(component {component})",
+        "narrow": f"line {lineno}: vector has {dim - 1} components, expected {dim}",
+        "wide": f"line {lineno}: vector has {dim + 1} components, expected {dim}",
+        "blank": f"line {lineno}: whitespace-only line",
+        "utf8": f"line {lineno}: not valid UTF-8",
+        "non-finite": f"line {lineno}: non-finite component for '{word}'",
+        "missing": f"header declares {n_words} entries but file has {n_words - 1}",
+        "extra": f"header declares {n_words} entries but file has {n_words + 1}",
+    }.get(defect)
+    others = {f"w{i}" for i in range(n_words)} - {word}
+    messages, models = set(), []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        for block in (1, 2, 3, 256):
+            mp.setattr(embeddings, "BLOCK_ROWS", block)
+            if defect is None:
+                models.append(load_embeddings(path))
+                continue
+            for vocabulary in (None, set(), others):
+                with pytest.raises(DataError) as info:
+                    load_embeddings(path, vocabulary=vocabulary)
+                messages.add(str(info.value))
+    if defect is None:
+        assert {model.vectors.tobytes() for model in models} == {models[0].vectors.tobytes()}
+        assert all(model.index == models[0].index for model in models)
+        assert len(models[0]) == n_words
+    else:
+        assert messages == {f"{path}: {expected}"}
+
+
 def reference_text_load(path):
     """The per-line text loader that the numeric pass replaced, for valid
     files: each line's strings are assigned into its float32 row."""

@@ -1,7 +1,8 @@
 """Source-structure guards: package modules import each other only at module
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens a text file, to read or to write
-(numpy's file functions count), only ``cluster.py`` calls the clustering kernels, only
+(numpy's file functions count), one ``np.loadtxt`` call parses text
+vectors, only ``cluster.py`` calls the clustering kernels, only
 ``dataset.py`` reads a dataset file's layout, only ``text.py`` interns
 strings, no module raises powers with numpy, and no module changes the
 process-wide warning filters, the BLAS thread count or the environment."""
@@ -15,6 +16,7 @@ from pathlib import Path
 import senseclust
 import senseclust.cluster as cluster_module
 import senseclust.evaluate as evaluate_module
+import senseclust.vectorize as vectorize_module
 
 PACKAGE = Path(senseclust.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -102,6 +104,20 @@ def test_only_the_errors_module_opens_text_files():
                     offenders.append(f"{path.name}:{node.lineno} {how}")
     assert offenders == []
     assert opened == {"open('rb')", "open('w')"}  # it reads and writes
+
+
+def test_text_vectors_are_parsed_in_one_place():
+    # ``embeddings._load_text`` feeds every block of a text embedding file to
+    # one loadtxt call that pulls its lines from read_lines, so read_lines
+    # names the line of every error. A second loadtxt call would be a second
+    # parse path for text vectors, with its own rules and its own lines.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            calls += [(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and _called_name(node) == "loadtxt"]
+    assert calls == [("embeddings.py", "_load_text")]
 
 
 def _numpy_power(node: ast.AST) -> bool:
@@ -213,6 +229,13 @@ def test_the_evaluate_submodule_is_not_shadowed(monkeypatch):
     marker = object()
     monkeypatch.setattr("senseclust.evaluate.ari_rows", marker)
     assert evaluate_module.ari_rows is marker
+
+
+def test_the_vectorize_submodule_is_not_shadowed(monkeypatch):
+    assert inspect.ismodule(vectorize_module)
+    marker = object()
+    monkeypatch.setattr("senseclust.vectorize.weighted_unit_average", marker)
+    assert vectorize_module.weighted_unit_average is marker
 
 
 # Modules that reach into a BLAS library, and ``os`` names for the environment.
