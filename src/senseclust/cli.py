@@ -293,6 +293,11 @@ def cmd_grid_search(args) -> int:
     with _blaming(args.dataset):
         gold_codes(dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
+    if "agglomerative" in space.algorithms:  # the pairs that clusterings() leaves out
+        searched = {(c.linkage, c.metric) for c in space.clusterings()}
+        for linkage in space.linkages:
+            if dropped := [m for m in space.metrics if (linkage, m) not in searched]:
+                _warn(f"{args.space}: excluding {linkage} with {', '.join(dropped)}")
     fixed = None
     if args.out_heatmap is not None and args.heatmap_view == "default":
         fixed = (ClusteringConfig() if "agglomerative" in space.algorithms

@@ -20,7 +20,6 @@ descending with ties broken by ascending config serialization.
 
 from __future__ import annotations
 
-import warnings
 from concurrent import futures
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -83,10 +82,6 @@ class SearchSpace:
         if "agglomerative" in self.algorithms:
             if not (self.k_grid and self.linkages and self.metrics):
                 raise ValueError("agglomerative grids must be non-empty")
-            skipped = [m for m in self.metrics if m != "euclidean"]
-            if "ward" in self.linkages and skipped:
-                warnings.warn("ward linkage is euclidean-only; excluding ward with "
-                              + ", ".join(skipped), stacklevel=3)  # past __init__
         if "affinity_propagation" in self.algorithms and not (
                 self.damping_grid and self.preference_grid):
             raise ValueError("affinity propagation grids must be non-empty")
@@ -111,7 +106,7 @@ class SearchSpace:
 
     def clusterings(self) -> list[ClusteringConfig]:
         """The clustering configs searched under each power pair, agglomerative
-        first, by linkage, then metric, then k."""
+        first, by linkage, then metric (ward with euclidean only), then k."""
         clusterings = []
         if "agglomerative" in self.algorithms:
             clusterings += [ClusteringConfig(linkage=lk, metric=m, n_clusters=k)

@@ -201,8 +201,8 @@ def test_text_errors_do_not_depend_on_blocks_or_vocabulary(data, dim, defect):
         del entries[at][component]
     elif defect == "wide":
         entries[at].append(b"1")
-    elif defect == "blank":
-        entries[at] = [b" \t"]
+    elif defect == "blank":  # as long as the entry it replaces, for the size check
+        entries[at] = [b" \t" * (dim + 1)]
     elif defect == "utf8":
         entries[at][0] += b"\xff"
     elif defect == "non-finite":
