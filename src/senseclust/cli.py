@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
                         help="chi2 cache TSV from build-chi2 "
                              "(default: computed from the dataset)")
     inputs.add_argument("--jobs", type=_at_least(1), default=1,
-                        help="parallel workers across words/configurations (default: 1)")
+                        help="parallel threads, one task per target word (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -262,7 +262,9 @@ def cmd_cluster(args) -> int:
 def cmd_evaluate(args) -> int:
     gold = _read_dataset(args.gold)
     if args.confusion_dir is not None:
-        for word in gold.by_target:  # each word names a file in the directory
+        with _blaming(args.gold):
+            graded_words = gold_codes(gold)
+        for word in graded_words:  # each word with a graded context names a file
             if "/" in word or "\\" in word:
                 raise DataError(f"{args.gold}: target word {word!r} contains a "
                                 "path separator and cannot name a confusion file")
@@ -273,7 +275,7 @@ def cmd_evaluate(args) -> int:
         report = evaluate(gold, Labeling(assignments))
     if args.confusion_dir is not None:
         args.confusion_dir.mkdir(parents=True, exist_ok=True)
-        for word, (keep, _) in gold_codes(gold).items():
+        for word, (keep, _) in graded_words.items():
             graded = [gold.instances[gold.by_target[word][j]] for j in keep]
             rows, cols, counts = confusion_matrix(
                 [inst.gold_sense for inst in graded],

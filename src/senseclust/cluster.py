@@ -58,10 +58,13 @@ class ClusteringConfig:
         if (self.algorithm == "agglomerative" and self.linkage == "ward"
                 and self.metric != "euclidean"):
             raise ValueError("ward linkage requires the euclidean metric")
-        if not 0.5 <= self.damping < 1.0:
+        if isinstance(self.damping, bool) or not 0.5 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0.5, 1), got {self.damping}")
-        if self.preference is not None and not -20.0 <= self.preference <= 5.0:
+        if self.preference is not None and (isinstance(self.preference, bool)
+                                            or not -20.0 <= self.preference <= 5.0):
             raise ValueError(f"preference must be in [-20, 5], got {self.preference}")
+        self.damping = float(self.damping)  # one spelling; below, + 0.0 turns -0.0 into 0.0
+        self.preference = None if self.preference is None else float(self.preference) + 0.0
         if self.max_iter <= 0 or self.convergence_window <= 0:
             raise ValueError("max_iter and convergence_window must be positive")
 

@@ -20,7 +20,7 @@ from .errors import (DataError, line_message, read_blocks, read_lines, split_fie
 from .text import normalize_token
 
 FORMATS = ("text", "binary")
-BLOCK_ROWS = 256  # entries per np.loadtxt call (text) and per kept-row copy (binary)
+BLOCK_ROWS = 256  # entries per staged block: one np.loadtxt call or binary staging buffer
 
 
 @dataclass
@@ -108,9 +108,10 @@ def load_embeddings(path: str | Path, fmt: str = "text",
     format then has one ``word v1 ... vD`` line per entry; the binary format
     has, per entry, a space-terminated word token followed by ``dim``
     little-endian float32 values (an optional trailing newline between
-    entries is tolerated). A text file is parsed ``BLOCK_ROWS`` rows at a
-    time and a binary file is read in blocks, straight into the matrix, so
-    memory peaks near the matrix size, not twice the file size.
+    entries is tolerated). Either is parsed ``BLOCK_ROWS`` entries at a time
+    into one staged block (a binary file read ``errors.BLOCK_BYTES`` at a
+    time) whose kept rows are copied into the matrix, so memory peaks near
+    the matrix size, not twice the file size.
 
     Every entry is read and checked. With a ``vocabulary`` (a set of
     normalized words), only the rows of its words are kept, in a matrix of
@@ -163,8 +164,7 @@ class _Rows:
 
     def add(self, block: np.ndarray, words: list[str], places=None) -> None:
         """Add the next ``len(words)`` entries, whose rows are ``block``; an
-        entry's place in a message is ``places[j]``, by default its number.
-        A block that is already the next rows of ``vectors`` is not copied."""
+        entry's place in a message is ``places[j]``, by default its number."""
         bad = np.flatnonzero(~np.isfinite(block.sum(axis=1, dtype=np.float64)))
         if bad.size and self.bad is None:
             j = bad[0]
@@ -235,37 +235,25 @@ def _load_text(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingMode
 
 
 def _load_binary(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingModel:
-    blocks, data, pos = read_blocks(path), bytearray(), 0
-
-    def find(sep: bytes, then: int = 0) -> int:
-        """The next ``sep`` (one byte) from ``pos`` with ``then`` bytes after it,
-        dropping ``data`` before ``pos`` and appending blocks; -1 at the end."""
-        nonlocal pos
-        hit = data.find(sep, pos)
-        while hit < 0 or hit + 1 + then > len(data):
-            start = (hit if hit >= 0 else len(data)) - pos
-            del data[:pos]
-            pos, block = 0, next(blocks, None)
-            if block is None:
-                return -1
-            data.extend(block)
-            hit = data.find(sep, start)
-        return hit
-
-    if (nl := find(b"\n")) < 0:
-        raise DataError(f"{path}: missing header line")
+    blocks, data = read_blocks(path), bytearray()
+    while (nl := data.find(b"\n")) < 0:
+        if (block := next(blocks, None)) is None:
+            raise DataError(f"{path}: missing header line")
+        data += block
     n_words, dim = _header(data[:nl].decode("utf-8", errors="replace"), path,
                            path.stat().st_size, 4)
     kept = _Rows(n_words, dim, vocabulary)
-    # Without a vocabulary every entry is copied straight into its matrix row.
-    stage = (kept.vectors if vocabulary is None
-             else np.empty((min(n_words, BLOCK_ROWS), dim), dtype="<f4"))
+    stage = np.empty((min(n_words, BLOCK_ROWS), dim), dtype="<f4")
     out, vec_bytes, pos = memoryview(stage).cast("B"), 4 * dim, nl + 1
     words: list[str] = []
-    for i in range(n_words):  # lstrip skips a newline run before an entry
-        if (sp := find(b" ", vec_bytes)) < 0:
-            raise _count_error(path, n_words, i)
-        try:
+    for i in range(n_words):  # blocks are appended until the entry is whole
+        while (sp := data.find(b" ", pos)) < 0 or sp + 1 + vec_bytes > len(data):
+            if (block := next(blocks, None)) is None:
+                raise _count_error(path, n_words, i)
+            del data[:pos]
+            data += block
+            pos = 0
+        try:  # lstrip skips a newline run before an entry
             words.append(normalize_token(data[pos:sp].lstrip(b"\n").decode("utf-8")))
         except UnicodeDecodeError:
             raise DataError(f"{path}: entry {i}: undecodable word bytes") from None
@@ -274,7 +262,7 @@ def _load_binary(path: Path, vocabulary: AbstractSet[str] | None) -> EmbeddingMo
         if len(words) == len(stage) or i == n_words - 1:
             kept.add(stage[:len(words)], words)
             words = []
-    if data[pos:].strip(b"\n") or any(bytes(b).strip(b"\n") for b in blocks):
+    if data[pos:].strip(b"\n") or any(block.strip(b"\n") for block in blocks):
         raise DataError(f"{path}: trailing data after {n_words} declared entries")
     return kept.model(lambda i, text: f"{path}: entry {i}: {text}")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-BLOCK_BYTES = 1 << 16  # the buffer of read_blocks
+BLOCK_BYTES = 1 << 16  # the size of each block that read_blocks yields
 
 
 class DataError(Exception):
@@ -64,13 +64,11 @@ class read_lines:
             raise DataError(line_message(self.path, self.lineno, exc)) from None
 
 
-def read_blocks(path: str | Path) -> Iterator[memoryview]:
-    """The bytes of a binary file, a block at a time, each a view of one
-    reused ``BLOCK_BYTES`` buffer that the next block overwrites."""
+def read_blocks(path: str | Path) -> Iterator[bytes]:
+    """The bytes of a binary file, in plain ``bytes`` blocks of ``BLOCK_BYTES``."""
     with open(path, "rb", buffering=0) as fh:
-        buf = bytearray(BLOCK_BYTES)
-        while n := fh.readinto(buf):
-            yield memoryview(buf)[:n]
+        while block := fh.read(BLOCK_BYTES):
+            yield block
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 from .cluster import LINKAGES, ClusteringConfig, cluster_points
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
-from .errors import DataError, line_message, read_lines
+from .errors import DataError, read_lines
 from .evaluate import ari_rows, gold_codes, weighted_ari
 from .vectorize import vectorize_word
 from .weighting import POWER_GRID, Chi2Table, IdfTable, WeightingConfig
@@ -248,7 +248,7 @@ def parse_space_file(path: str | Path) -> SearchSpace:
     """
     kwargs: dict = {}
     with read_lines(path) as lines:
-        for lineno, line in lines:
+        for _, line in lines:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -256,6 +256,8 @@ def parse_space_file(path: str | Path) -> SearchSpace:
             if not sep:
                 raise ValueError("expected 'key = value'")
             key = key.strip()
+            if key not in {f.name for f in fields(SearchSpace)}:
+                raise ValueError(f"unknown key {key!r}")
             if key in kwargs:
                 raise ValueError(f"repeated key {key!r}")
             items = [v.strip() for v in value.split(",") if v.strip()]
@@ -277,11 +279,9 @@ def parse_space_file(path: str | Path) -> SearchSpace:
                     kwargs[key] = tuple(ks)
                 elif key in ("linkages", "metrics", "algorithms"):
                     kwargs[key] = tuple(items)
-                elif key == "preference_grid":
+                else:  # preference_grid
                     kwargs[key] = tuple(v if v == AUTO_PREFERENCE else float(v)
                                         for v in items)
-                else:
-                    raise DataError(line_message(path, lineno, f"unknown key {key!r}"))
             except ValueError:
                 raise ValueError(f"bad {key} value {value.strip()!r}") from None
             SearchSpace.check_grid(key, kwargs[key])

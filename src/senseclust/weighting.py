@@ -33,8 +33,9 @@ class WeightingConfig:
     def __post_init__(self):
         for name in ("p_tfidf", "p_chi2"):
             v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 <= v <= 2.5:
+            if isinstance(v, bool) or not 0.0 <= v <= 2.5:  # NaN fails too
                 raise ValueError(f"{name} must be in [0, 2.5], got {v}")
+            setattr(self, name, float(v) + 0.0)  # one spelling; + 0.0 turns -0.0 into 0.0
 
 
 @dataclass

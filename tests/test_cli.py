@@ -293,6 +293,22 @@ def test_evaluate_rejects_a_word_that_is_no_confusion_file_name(tmp_path, capsys
     assert capsys.readouterr().out.startswith("word\tn\tari")
 
 
+def test_evaluate_names_confusion_files_only_for_graded_words(tmp_path, capsys):
+    """A target word without gold-labeled contexts gets no report row and
+    no confusion file, so a path separator in it stops nothing."""
+    header = "context_id\tword\tgold_sense_id\tpredict_sense_id\tpositions\tcontext"
+    rows = [f"g{i}\tgood\t{i % 2}\t{i // 2}\t0-4\tgood tail" for i in range(4)]
+    rows += ["u0\ta/b\t\t0\t0-3\ta/b tail", "u1\ta/b\t\t1\t0-3\ta/b tail"]
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    conf = tmp_path / "conf"
+    assert run_cli("evaluate", "--gold", gold, "--pred", gold, "--confusion-dir", conf) == 0
+    report = capsys.readouterr().out
+    assert run_cli("evaluate", "--gold", gold, "--pred", gold) == 0
+    assert capsys.readouterr().out == report
+    assert "a/b" not in report and sorted(p.name for p in conf.iterdir()) == ["good.csv"]
+
+
 def write_contexts(path, rows):
     """Dataset TSV from (context_id, target, gold sense or "", the context
     after the target) rows."""
@@ -413,7 +429,7 @@ def test_help_lists_defaults(capsys):
         assert run_cli(command, "--help") == 0
         text = " ".join(capsys.readouterr().out.split())
         assert chi2 in text
-        assert "parallel workers across words/configurations (default: 1)" in text
+        assert "parallel threads, one task per target word (default: 1)" in text
     assert run_cli("norm-report", "--help") == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "default: 1000" in text and "default: 0" in text

@@ -408,7 +408,7 @@ def test_binary_errors_are_exact(tmp_path, blob, message):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
-@pytest.mark.parametrize("blob, message", BINARY_ERRORS[1:])
+@pytest.mark.parametrize("blob, message", BINARY_ERRORS)
 def test_binary_errors_across_block_boundaries(tmp_path, monkeypatch, blob, message, block):
     monkeypatch.setattr(errors, "BLOCK_BYTES", block)
     assert_binary_error(tmp_path, blob, message)

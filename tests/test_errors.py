@@ -1,8 +1,10 @@
-"""The line reader shared by every text input."""
+"""The line reader shared by every text input and the block reader of
+binary ones."""
 
 import pytest
 
-from senseclust.errors import DataError, read_lines, write_text
+from senseclust import errors
+from senseclust.errors import DataError, read_blocks, read_lines, write_text
 
 
 def test_numbering_line_ends_and_blank_lines(tmp_path):
@@ -40,3 +42,13 @@ def test_write_text_streams_utf8_with_newline_ends(tmp_path):
     path = tmp_path / "out.txt"
     write_text(path, (chunk for chunk in ["é\tx\n", "b\r\n", "c"]))
     assert path.read_bytes() == "é\tx\nb\r\nc".encode("utf-8")
+
+
+@pytest.mark.parametrize("block", [1, 3, 1000])
+def test_read_blocks_yields_blocks_that_outlive_the_next(tmp_path, monkeypatch, block):
+    path = tmp_path / "in.bin"
+    path.write_bytes(bytes(range(256)) * 2)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", block)
+    blocks = list(read_blocks(path))  # every block held at once
+    assert b"".join(blocks) == path.read_bytes()
+    assert all(len(b) <= block for b in blocks)

@@ -160,6 +160,31 @@ def test_uniform_weights_tie_broken_lexicographically():
     assert result.best.weighting == WeightingConfig(0.0, 0.0)
 
 
+def test_each_config_value_has_one_spelling():
+    """Grids of numpy scalars or ints give the float grid's configs, so
+    ranked.csv and the heatmap spell each value one way; a bool is no number."""
+    def serials(power_grid, damping_grid, preference_grid):
+        space = SearchSpace(power_grid=power_grid, damping_grid=damping_grid,
+                            preference_grid=preference_grid, k_grid=(2,))
+        return [serialize_config(c, w) for c, w in space.configs()]
+
+    floats = serials((0.0, 0.5, 1.0), (0.5, 0.75), ("auto", -1.0))
+    assert floats[-1].endswith(" p_chi2=1.0 p_tfidf=1.0 preference=-1.0")
+    assert serials(tuple(np.linspace(0, 1, 3)), tuple(np.array([0.5, 0.75])),
+                   ("auto", np.float64(-1))) == floats
+    assert serials((0, np.float32(0.5), 1), (0.5, 0.75), ("auto", -1)) == floats
+    assert serialize_config(ClusteringConfig(algorithm="affinity_propagation",
+                                             damping=np.float64(0.5), preference=-0.0),
+                            WeightingConfig(p_tfidf=-0.0, p_chi2=np.int64(2))) == (
+        "algorithm=affinity_propagation damping=0.5 p_chi2=2.0 p_tfidf=0.0 preference=0.0")
+    with pytest.raises(ValueError, match=re.escape("p_tfidf must be in [0, 2.5], got True")):
+        SearchSpace(power_grid=(True, 0.5))
+    with pytest.raises(ValueError, match=re.escape("p_chi2 must be in [0, 2.5], got False")):
+        WeightingConfig(p_chi2=False)
+    with pytest.raises(ValueError, match=re.escape("preference must be in [-20, 5], got True")):
+        ClusteringConfig(algorithm="affinity_propagation", preference=True)
+
+
 @pytest.mark.parametrize("change", [lambda s: s + [0.0], lambda s: s[:-1]],
                          ids=["one too many", "one too few"])
 def test_a_word_with_the_wrong_score_count_stops_the_search(small_problem, monkeypatch,
@@ -424,6 +449,10 @@ def test_parse_space_file(tmp_path):
     bad.write_text("mystery = 1\n", encoding="utf-8")
     with pytest.raises(DataError):
         parse_space_file(bad)
+    bad.write_text("# k\nk_grid = 2\nmystery = 1\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        parse_space_file(bad)
+    assert str(info.value) == f"{bad}: line 3: unknown key 'mystery'"
     for text in ("power_grid = x\n", "# k\n\nk_grid = 1..b\n",
                  "\n\ndamping_grid = 0.5, half\n", "\n\npreference_grid = low\n",
                  "k_grid = 2..99999999999\n"):
