@@ -8,7 +8,7 @@ oscillation-breaking jitter is a fixed function of the point indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,13 +58,15 @@ class ClusteringConfig:
         if (self.algorithm == "agglomerative" and self.linkage == "ward"
                 and self.metric != "euclidean"):
             raise ValueError("ward linkage requires the euclidean metric")
-        if isinstance(self.damping, bool) or not 0.5 <= self.damping < 1.0:
-            raise ValueError(f"damping must be in [0.5, 1), got {self.damping}")
-        if self.preference is not None and (isinstance(self.preference, bool)
-                                            or not -20.0 <= self.preference <= 5.0):
-            raise ValueError(f"preference must be in [-20, 5], got {self.preference}")
-        self.damping = float(self.damping)  # one spelling; below, + 0.0 turns -0.0 into 0.0
-        self.preference = None if self.preference is None else float(self.preference) + 0.0
+        damping, pref = self.damping, self.preference  # a bool is no number, nor a numpy one
+        if (isinstance(damping, bool) or not isinstance(damping, Real)
+                or not 0.5 <= damping < 1.0):
+            raise ValueError(f"damping must be in [0.5, 1), got {damping}")
+        if pref is not None and (isinstance(pref, bool) or not isinstance(pref, Real)
+                                 or not -20.0 <= pref <= 5.0):
+            raise ValueError(f"preference must be in [-20, 5], got {pref}")
+        self.damping = float(damping)  # one spelling; below, + 0.0 turns -0.0 into 0.0
+        self.preference = None if pref is None else float(pref) + 0.0
         if self.max_iter <= 0 or self.convergence_window <= 0:
             raise ValueError("max_iter and convergence_window must be positive")
 
@@ -88,7 +90,17 @@ def pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     other.
     """
     X = np.ascontiguousarray(points, dtype=np.float64)
-    return gram_distances(X, None if metric == "manhattan" else gram_matrix(X), metric)
+    if metric != "manhattan":
+        return gram_distances(gram_matrix(X), row_facts(X), metric)
+    # Upper triangle row by row in one reused buffer, each row mirrored into
+    # its column; |x - y| == |y - x| bit for bit.
+    D = np.zeros((len(X), len(X)))
+    buf = np.empty_like(X)
+    for i in range(len(X) - 1):
+        diff = np.subtract(X[i + 1:], X[i], out=buf[i + 1:])
+        np.abs(diff, out=diff).sum(axis=1, out=D[i, i + 1:])
+        D[i + 1:, i] = D[i, i + 1:]
+    return D
 
 
 def gram_matrix(X: np.ndarray) -> np.ndarray:
@@ -97,30 +109,37 @@ def gram_matrix(X: np.ndarray) -> np.ndarray:
     return X @ np.swapaxes(X, -1, -2)
 
 
-def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.ndarray:
-    """``pairwise_distances(X, metric)`` for C-contiguous float64 X, from
-    ``gram = gram_matrix(X)``, which is left as it is, so that one product
-    serves every metric of a point set. Manhattan does not read it."""
-    if metric == "manhattan":
-        # Upper triangle row by row in one reused buffer, each row mirrored
-        # into its column; |x - y| == |y - x| bit for bit.
-        D = np.zeros((len(X), len(X)))
-        buf = np.empty_like(X)
-        for i in range(len(X) - 1):
-            diff = np.subtract(X[i + 1:], X[i], out=buf[i + 1:])
-            np.abs(diff, out=diff).sum(axis=1, out=D[i, i + 1:])
-            D[i + 1:, i] = D[i, i + 1:]
-        return D
+def row_facts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """What the Gram-form distances of a C-contiguous float64 point set read
+    besides its Gram product: its squared norms, its zero rows as a mask,
+    and each group of its equal non-zero rows, in ascending order.
+
+    Squared norms are row sums, not the Gram diagonal: a zero vector then
+    lies at exactly sq[j] from point j, as in the difference form, so ties
+    stay ties. Equal rows have equal squared norms and row sums, so rows
+    are compared only where both repeat.
+    """
+    sq = (X * X).sum(axis=1)
+    sums = X.sum(axis=1)
+    order = np.lexsort((sums, sq))
+    a, b = sq[order], sums[order]
+    repeats = (a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (a[1:] > 0.0)
+    groups: dict[bytes, list[int]] = {}
+    for i in np.union1d(order[:-1][repeats], order[1:][repeats]):
+        groups.setdefault(X[i].tobytes(), []).append(int(i))
+    return sq, sq == 0.0, [g for g in groups.values() if len(g) > 1]
+
+
+def gram_distances(gram: np.ndarray, facts: tuple, metric: str) -> np.ndarray:
+    """``pairwise_distances(X, metric)`` for "sqeuclidean", "euclidean" or
+    "cosine", from ``gram = gram_matrix(X)`` and ``facts = row_facts(X)``,
+    which are left as they are, so that one product and one set of facts
+    serve every metric of a point set."""
     if metric not in ("cosine", "euclidean", "sqeuclidean"):
         raise ValueError(f"unknown metric {metric!r}")
-    # Squared norms are row sums, not the Gram diagonal: a zero vector then
-    # lies at exactly sq[j] from point j, as in the difference form, so ties
-    # stay ties.
-    sq = (X * X).sum(axis=1)
+    sq, zero, groups = facts
     if metric == "cosine":
-        norms = np.sqrt(np.diag(gram).copy())
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
+        safe = np.where(zero, 1.0, np.sqrt(np.diag(gram)))
         D = 1.0 - gram / np.outer(safe, safe)
         D[zero, :] = 1.0
         D[:, zero] = 1.0
@@ -129,30 +148,14 @@ def gram_distances(X: np.ndarray, gram: np.ndarray | None, metric: str) -> np.nd
         D -= 2.0 * gram
     np.fill_diagonal(D, 0.0)
     np.maximum(D, 0.0, out=D)
-    _tie_duplicates(X, sq, D)
-    return np.sqrt(D, out=D) if metric == "euclidean" else D
-
-
-def _tie_duplicates(X: np.ndarray, sq: np.ndarray, D: np.ndarray) -> None:
-    """Give each group of equal non-zero rows of X its lowest member's row
-    and column of D, and 0 within the group: the Gram form rounds their
-    distances apart. Equal rows have equal squared norms and row sums, so
-    rows are compared only where both repeat."""
-    sums = X.sum(axis=1)
-    order = np.lexsort((sums, sq))
-    a, b = sq[order], sums[order]
-    repeats = (a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (a[1:] > 0.0)
-    if not repeats.any():
-        return
-    groups: dict[bytes, list[int]] = {}
-    for i in np.union1d(order[:-1][repeats], order[1:][repeats]):
-        groups.setdefault(X[i].tobytes(), []).append(int(i))
-    for group in groups.values():
+    # The Gram form rounds the distances between equal rows apart: each
+    # group takes its lowest member's row and column, and 0 within.
+    for group in groups:
         first, rest = group[0], group[1:]
-        if rest:
-            D[rest] = D[first]
-            D[:, rest] = D[:, [first]]
-            D[np.ix_(group, group)] = 0.0
+        D[rest] = D[first]
+        D[:, rest] = D[:, [first]]
+        D[np.ix_(group, group)] = 0.0
+    return np.sqrt(D, out=D) if metric == "euclidean" else D
 
 
 def dendrogram(points, linkage: str, metric: str = "euclidean"
@@ -168,8 +171,11 @@ def dendrogram(points, linkage: str, metric: str = "euclidean"
     """
     ClusteringConfig(linkage=linkage, metric=metric)  # checks the linkage and metric
     stack = _point_stack(np.asarray(points)[None])
-    grams = [None] if metric == "manhattan" else gram_matrix(stack)
-    return list(zip(*(m[:, 0].tolist() for m in _merges(stack, grams, linkage, metric))))
+    grams = facts = None
+    if metric != "manhattan":
+        grams, facts = gram_matrix(stack), [row_facts(stack[0])]
+    return list(zip(*(m[:, 0].tolist()
+                      for m in _merges(stack, grams, facts, linkage, metric))))
 
 
 def _lance_williams(linkage: str, Da, Db, sa, sb, sizes, dist) -> None:
@@ -324,21 +330,29 @@ def cut_sequences(merged: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
     return [cuts[k] for k in ks]
 
 
-def _merges(part: np.ndarray, grams, linkage: str, metric: str) -> tuple:
-    """A chunk's merges from its Gram products, as ``(n - 1, B)`` arrays;
-    ward merges squared euclidean distances. From ``_STACK_FLOOR`` point
-    sets, ``merge_sequences`` runs on a ``(B, n, n)`` stack of their
-    distances made here; fewer sets run the faster ``merge_sequence`` each."""
+def _merges(part, grams, facts, linkage: str, metric: str) -> tuple:
+    """A chunk's merges, as ``(n - 1, B)`` arrays: from its points for
+    manhattan, else from its Gram products and row facts, and then ``part``
+    may be None. Ward merges squared euclidean distances. From
+    ``_STACK_FLOOR`` point sets, ``merge_sequences`` runs on a ``(B, n, n)``
+    stack of their distances made here; fewer sets run the faster
+    ``merge_sequence`` each."""
     kind = "sqeuclidean" if linkage == "ward" else metric
-    if len(part) >= _STACK_FLOOR:
-        D = np.empty((len(part), part.shape[1], part.shape[1]))
-        for s, (X, gram) in enumerate(zip(part, grams)):
-            D[s] = gram_distances(X, gram, kind)
+
+    def distances(s: int) -> np.ndarray:
+        if kind == "manhattan":
+            return pairwise_distances(part[s], kind)
+        return gram_distances(grams[s], facts[s], kind)
+
+    count, n = (part if kind == "manhattan" else grams).shape[:2]
+    if count >= _STACK_FLOOR:
+        D = np.empty((count, n, n))
+        for s in range(count):
+            D[s] = distances(s)
         return merge_sequences(D, linkage)
     # Unnamed, the distances do not outlive the merge sequence.
     return tuple(np.stack(m, axis=1) for m in zip(*(
-        merge_sequence(gram_distances(X, gram, kind), linkage)
-        for X, gram in zip(part, grams))))
+        merge_sequence(distances(s), linkage) for s in range(count))))
 
 
 def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
@@ -484,16 +498,21 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
     """Yield ``[cluster(points, cfg) for cfg in cfgs]`` for each point set of
     a ``(B, n, d)`` stack, bit for bit: the one place that runs a clustering.
 
-    Every config but a manhattan one reads the point set's Gram product,
-    taken only if one does. The products are taken as one batched product
-    per chunk of ``max(1, B * d // n)`` point sets, so that a chunk's
-    products hold no more floats than the points; numpy computes each item
-    with the same BLAS call as ``X @ X.T``. The agglomerative configs of a
-    (linkage, metric) pair share one ``_merges`` call, which alone holds
-    their distances, and one ``cut_sequences`` call per chunk; each k is
-    clamped to n, and the merges are ``dendrogram(points, linkage,
-    metric)[:n - k]``. AP's similarities are built in the Gram product's
-    buffer after every merge sequence of its chunk, whatever the order of cfgs.
+    Unless every config is manhattan, each chunk of ``max(1, B * d // n)``
+    point sets takes its Gram products as one batched product, so that they
+    hold no more floats than its points (numpy computes each item with the
+    same BLAS call as ``X @ X.T``), then each set's ``row_facts``; every
+    other metric is built from those two, which the chunk holds throughout.
+    Without a manhattan config the points are not read again: the stack is
+    let go once the last chunk's products and facts are taken, so a caller
+    that keeps no reference to it frees it before any merge loop or AP.
+
+    The agglomerative configs of a (linkage, metric) pair share one
+    ``_merges`` call, which alone holds their distances, and one
+    ``cut_sequences`` call per chunk; each k is clamped to n, and the merges
+    are ``dendrogram(points, linkage, metric)[:n - k]``. AP's similarities
+    are built in the Gram product's buffer after every merge sequence of
+    its chunk, whatever the order of cfgs.
     """
     stack = _point_stack(stack)
     groups: dict[tuple[str, str] | None, list[int]] = {}
@@ -501,23 +520,28 @@ def cluster_points(stack, cfgs: Sequence[ClusteringConfig]
         key = (cfg.linkage, cfg.metric) if cfg.algorithm == "agglomerative" else None
         groups.setdefault(key, []).append(i)
     ap_configs = groups.pop(None, [])
+    reads_points = any(m == "manhattan" for _, m in groups)
     needs_gram = bool(ap_configs) or any(m != "manhattan" for _, m in groups)
     count, n, dim = stack.shape
     chunk = max(1, count * dim // n)
     for lo in range(0, count, chunk):
         part = stack[lo:lo + chunk]
-        grams = gram_matrix(part) if needs_gram else [None] * len(part)
         results = [[None] * len(cfgs) for _ in part]
+        grams = facts = None
+        if needs_gram:
+            grams, facts = gram_matrix(part), [row_facts(X) for X in part]
+        if not reads_points and lo + chunk >= count:
+            part = stack = None
         for (linkage, metric), members in groups.items():
             ks = [min(cfgs[i].n_clusters, n) for i in members]
-            merged = _merges(part, grams, linkage, metric)
+            merged = _merges(part, grams, facts, linkage, metric)
             for result, labels_at in zip(results, zip(*cut_sequences(merged, n, ks))):
                 for i, k, labels in zip(members, ks, labels_at):
                     result[i] = ClusterResult(labels=labels, k=k)
-        for X, gram, result in zip(part, grams, results):
+        for s, result in enumerate(results):
             if ap_configs:  # similarity is negative squared euclidean distance
-                similarities = np.negative(gram_distances(X, gram, "sqeuclidean"),
-                                           out=gram)
+                similarities = np.negative(
+                    gram_distances(grams[s], facts[s], "sqeuclidean"), out=grams[s])
                 for i in ap_configs:
                     result[i] = propagate(similarities, cfgs[i])
             yield result

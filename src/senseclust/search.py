@@ -42,9 +42,12 @@ GRID_FIELDS = {"k_grid": "n_clusters", "linkages": "linkage", "metrics": "metric
 
 
 def parse_preference(value) -> float | None:
-    """``"auto"`` (the median similarity) as None, anything else as a number."""
+    """``"auto"`` (the median similarity) as None, any other string as a
+    number; any other value is left for ``ClusteringConfig`` to check."""
     if value == AUTO_PREFERENCE:
         return None
+    if not isinstance(value, str):
+        return value
     try:
         return float(value)
     except ValueError:
@@ -166,8 +169,9 @@ def grid_search(dataset: Dataset, model: EmbeddingModel, idf: IdfTable,
         """The word's ARI under every config, in ``space.configs()`` order."""
         keep, codes = gold[word]
         scores: list[float] = []
-        stack = vectorize_word(dataset, word, model, idf, chi2, weightings)
-        for results in cluster_points(stack, clusterings):
+        # Unnamed, the stack is freed once cluster_points has no more use for it.
+        for results in cluster_points(
+                vectorize_word(dataset, word, model, idf, chi2, weightings), clusterings):
             labels = np.stack([r.labels for r in results])
             scores += ari_rows(codes, labels[:, keep])
         return scores

@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
@@ -33,7 +34,8 @@ class WeightingConfig:
     def __post_init__(self):
         for name in ("p_tfidf", "p_chi2"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not 0.0 <= v <= 2.5:  # NaN fails too
+            # A bool or a numpy bool is no number; NaN fails the range too.
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0.0 <= v <= 2.5:
                 raise ValueError(f"{name} must be in [0, 2.5], got {v}")
             setattr(self, name, float(v) + 0.0)  # one spelling; + 0.0 turns -0.0 into 0.0
 

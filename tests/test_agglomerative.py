@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -228,6 +229,38 @@ def test_one_cut_per_group_and_chunk_whichever_merge_loop_ran(shape):
                                         if d >= cluster_module._STACK_FLOOR]
     assert len(calls["merge_sequence"]) == groups * sum(
         d for d in depths if d < cluster_module._STACK_FLOOR)
+
+
+# Configs that read no points: the euclidean pairs and AP.
+POINTLESS_CONFIGS = [c for c in EVERY_CONFIG if c.metric != "manhattan"
+                     or c.algorithm != "agglomerative"]
+
+
+# (count, n, d): one chunk of 3 point sets, below the stack floor; one chunk
+# of 8, at it; and chunks of max(1, 12 * 4 // 6) = 8 and 4.
+@pytest.mark.parametrize("shape", [(3, 4, 6), (8, 6, 6), (12, 6, 4)])
+@pytest.mark.parametrize("cfgs", [POINTLESS_CONFIGS, EVERY_CONFIG],
+                         ids=["no manhattan", "manhattan"])
+def test_a_stack_handed_over_gives_the_results_of_a_kept_one(shape, cfgs):
+    stack = np.round(np.random.default_rng(17).normal(size=shape), 1)
+    stack[:, 2] = 0.0
+    stack[:, 3] = stack[:, 1]
+    kept = list(cluster_points(stack, cfgs))
+    handed = stack.copy()
+    alive = weakref.ref(handed)
+    results = cluster_points(handed, cfgs)
+    del handed
+    got = [next(results)]
+    # Without a manhattan config, a one-chunk stack is let go once its Gram
+    # products and row facts are taken, before the first result.
+    count, n, dim = shape
+    one_chunk = max(1, count * dim // n) >= count
+    assert (alive() is None) is (one_chunk and cfgs is POINTLESS_CONFIGS)
+    got += results
+    assert alive() is None
+    assert len(got) == count
+    for b, (a, want) in enumerate(zip(got, kept)):
+        assert_same_results(a, want, b)
 
 
 METRIC_KINDS = ("sqeuclidean", "euclidean", "manhattan", "cosine")

@@ -3,9 +3,11 @@
 ``pairwise_distances(X, "sqeuclidean")`` is the one squared-euclidean
 kernel (euclidean distances, ward and affinity propagation); it works in
 Gram form, so its values may differ from the difference form in the last
-bits. Manhattan fills
-the upper triangle one row at a time through one reused buffer and mirrors
-each row into its column; it must equal the difference form bit for bit.
+bits. ``cluster_points`` builds the same matrices from one item of a
+chunk's batched Gram product and the set's row facts, bit for bit.
+Manhattan fills the upper triangle one row at a time through one reused
+buffer and mirrors each row into its column; it must equal the difference
+form bit for bit.
 """
 
 import tracemalloc
@@ -13,7 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from senseclust.cluster import METRICS, pairwise_distances
+import senseclust.cluster as cluster_module
+from senseclust.cluster import (LINKAGES, METRICS, ClusteringConfig, cluster_points,
+                                gram_distances, gram_matrix, pairwise_distances, row_facts)
 
 SHAPES = [(1, 4), (2, 3), (7, 5), (40, 200), (120, 200)]
 
@@ -44,10 +48,29 @@ def layouts(X):
     return {"C": X, "F": np.asfortranarray(X), "strided": wide[::2, ::2]}
 
 
+def facts_path(X, metric):
+    """``metric`` as ``cluster_points`` builds it: from one item of a
+    chunk's batched Gram product and that set's row facts, on the
+    C-contiguous stack that ``cluster_points`` makes of any layout."""
+    part = np.ascontiguousarray(np.stack([X, X[::-1]]))
+    return gram_distances(gram_matrix(part)[0], row_facts(part[0]), metric)
+
+
 def kernels(X):
-    out = {"squared": pairwise_distances(X, "sqeuclidean")}
+    out = {"squared": pairwise_distances(X, "sqeuclidean"),
+           "facts": facts_path(X, "sqeuclidean")}
     out.update((m, pairwise_distances(X, m)) for m in METRICS)
     return out
+
+
+def point_sets(shape):
+    """Points with repeated rows, far from the origin, and with zero rows."""
+    duplicated = unit_points(*shape, seed=2) * 10.0
+    duplicated[1::4] = duplicated[-1]
+    # Far from the origin the Gram form cancels, and unclamped squared
+    # distances would come out negative.
+    far = 1e3 + 1e-6 * unit_points(*shape, seed=3)
+    return {"duplicated": duplicated, "far": far, "zero-row": unit_points(*shape, seed=4)}
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -88,14 +111,33 @@ def test_manhattan_peak_memory_below_one_and_a_half_matrices():
     assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
 
 
+def test_a_handed_over_stack_is_freed_before_its_merge_loops():
+    # With no manhattan config, cluster_points lets a one-chunk stack go
+    # once its Gram products and row facts are taken. Holding the points
+    # through the merge loops would put the stack, its Gram stack and one
+    # stacked distance matrix in memory at once.
+    count, n, dim = 16, 30, 60  # 16 * 60 // 30 = 32 sets a chunk: one chunk, stacked merges
+    assert count >= cluster_module._STACK_FLOOR
+    cfgs = [ClusteringConfig(linkage=linkage, n_clusters=3) for linkage in LINKAGES]
+    cfgs.append(ClusteringConfig(algorithm="affinity_propagation"))
+
+    def stack():
+        return np.random.default_rng(7).normal(size=(count, n, dim))
+
+    list(cluster_points(stack(), cfgs))  # numpy imports some modules on first use
+    tracemalloc.start()
+    try:
+        list(cluster_points(stack(), cfgs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points, grams = count * n * dim * 8, count * n * n * 8
+    assert peak < points + 2 * grams, (peak, points, grams)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_every_matrix_is_symmetric_nonnegative_with_zero_diagonal(shape):
-    duplicated = unit_points(*shape, seed=2) * 10.0
-    duplicated[1::4] = duplicated[-1]
-    # Far from the origin the Gram form cancels, and unclamped squared
-    # distances would come out negative.
-    far = 1e3 + 1e-6 * unit_points(*shape, seed=3)
-    for X, name in ((duplicated, "duplicated"), (far, "far")):
+    for name, X in point_sets(shape).items():
         for order, Y in layouts(X).items():
             for kernel, D in kernels(Y).items():
                 where = f"{kernel} on {order}-ordered {name} points"
@@ -103,6 +145,15 @@ def test_every_matrix_is_symmetric_nonnegative_with_zero_diagonal(shape):
                 assert np.array_equal(D, D.T), where
                 assert np.all(np.diag(D) == 0.0), where
                 assert np.all(D >= 0.0), where
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_facts_path_equals_pairwise_distances_bitwise(shape):
+    for name, X in point_sets(shape).items():
+        for order, Y in layouts(X).items():
+            for metric in ("sqeuclidean", "euclidean", "cosine"):
+                assert np.array_equal(facts_path(Y, metric), pairwise_distances(Y, metric)), (
+                    f"{metric} on {order}-ordered {name} points")
 
 
 def test_zero_vector_row_is_the_row_sum_bitwise():

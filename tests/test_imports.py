@@ -162,7 +162,7 @@ def test_no_module_warns_or_changes_the_warning_filters():
 
 
 # What ``cluster.cluster_points`` runs a clustering with.
-CLUSTERING_KERNELS = ("gram_matrix", "gram_distances", "merge_sequence",
+CLUSTERING_KERNELS = ("gram_matrix", "row_facts", "gram_distances", "merge_sequence",
                       "merge_sequences", "_merges", "cut_sequences", "propagate")
 
 

@@ -185,6 +185,41 @@ def test_each_config_value_has_one_spelling():
         ClusteringConfig(algorithm="affinity_propagation", preference=True)
 
 
+# Each real config field, and its message up to the value.
+REAL_FIELDS = {
+    "p_tfidf": (lambda v: WeightingConfig(p_tfidf=v), "p_tfidf must be in [0, 2.5], got "),
+    "p_chi2": (lambda v: WeightingConfig(p_chi2=v), "p_chi2 must be in [0, 2.5], got "),
+    "damping": (lambda v: ClusteringConfig(algorithm="affinity_propagation", damping=v),
+                "damping must be in [0.5, 1), got "),
+    "preference": (lambda v: ClusteringConfig(algorithm="affinity_propagation",
+                                              preference=v),
+                   "preference must be in [-20, 5], got "),
+    "power_grid": (lambda v: SearchSpace(power_grid=(v,)), "p_tfidf must be in [0, 2.5], got "),
+    "damping_grid": (lambda v: SearchSpace(damping_grid=(v,)),
+                     "damping must be in [0.5, 1), got "),
+}
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_, True, "0.5", np.str_("1")],
+                         ids=repr)
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_a_non_real_config_value_is_rejected_with_the_fields_message(field, value):
+    """A numpy bool once passed as 1.0 or 0.0, and a string raised a
+    TypeError from the range comparison."""
+    make, message = REAL_FIELDS[field]
+    with pytest.raises(ValueError, match=re.escape(f"{message}{value}")):
+        make(value)
+
+
+def test_a_preference_grid_parses_strings_but_takes_no_bool():
+    assert [c.preference for c in SearchSpace(preference_grid=("auto", "-1", -2),
+                                              algorithms=("affinity_propagation",)
+                                              ).clusterings()] == [None, -1.0, -2.0]
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=re.escape("preference must be in [-20, 5], got True")):
+            SearchSpace(preference_grid=(value,))
+
+
 @pytest.mark.parametrize("change", [lambda s: s + [0.0], lambda s: s[:-1]],
                          ids=["one too many", "one too few"])
 def test_a_word_with_the_wrong_score_count_stops_the_search(small_problem, monkeypatch,
