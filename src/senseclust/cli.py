@@ -19,7 +19,8 @@ from itertools import compress
 from pathlib import Path
 
 from . import search as search_mod
-from .cluster import ALGORITHMS, LINKAGES, METRICS, ClusteringConfig, cluster_points
+from .cluster import (AGGLOMERATIVE_PAIRS, ALGORITHMS, LINKAGES, METRICS,
+                      ClusteringConfig, cluster_points)
 from .dataset import Dataset, parse_dataset, write_predictions
 from .embeddings import (FORMATS, EmbeddingModel, load_embeddings,
                          load_frequency_table, norm_frequency_report, norm_report_tsv)
@@ -295,10 +296,10 @@ def cmd_grid_search(args) -> int:
     with _blaming(args.dataset):
         gold_codes(dataset)
     space = parse_space_file(args.space) if args.space else SearchSpace()
-    if "agglomerative" in space.algorithms:  # the pairs that clusterings() leaves out
-        searched = {(c.linkage, c.metric) for c in space.clusterings()}
+    if "agglomerative" in space.algorithms:  # the pairs no agglomerative config takes
         for linkage in space.linkages:
-            if dropped := [m for m in space.metrics if (linkage, m) not in searched]:
+            if dropped := [m for m in space.metrics
+                           if (linkage, m) not in AGGLOMERATIVE_PAIRS]:
                 _warn(f"{args.space}: excluding {linkage} with {', '.join(dropped)}")
     fixed = None
     if args.out_heatmap is not None and args.heatmap_view == "default":

@@ -16,6 +16,10 @@ import numpy as np
 LINKAGES = ("ward", "average", "complete")
 METRICS = ("euclidean", "manhattan", "cosine")
 ALGORITHMS = ("agglomerative", "affinity_propagation")
+# The (linkage, metric) pairs an agglomerative config takes: ward merges
+# squared euclidean distances, so it takes the euclidean metric only.
+AGGLOMERATIVE_PAIRS = frozenset((lk, m) for lk in LINKAGES for m in METRICS
+                                if lk != "ward" or m == "euclidean")
 # Below about 200 rows a rebuild costs more than the shorter scans save.
 _REBUILD_FLOOR = 200
 # From this many point sets in a chunk, their merge loops run as one stack;
@@ -55,8 +59,8 @@ class ClusteringConfig:
             setattr(self, name, int(value))  # the cut calls int.bit_length
         if not 1 <= self.n_clusters <= 14:
             raise ValueError(f"n_clusters must be in 1..14, got {self.n_clusters}")
-        if (self.algorithm == "agglomerative" and self.linkage == "ward"
-                and self.metric != "euclidean"):
+        if (self.algorithm == "agglomerative"
+                and (self.linkage, self.metric) not in AGGLOMERATIVE_PAIRS):
             raise ValueError("ward linkage requires the euclidean metric")
         damping, pref = self.damping, self.preference  # a bool is no number, nor a numpy one
         if (isinstance(damping, bool) or not isinstance(damping, Real)
@@ -356,8 +360,11 @@ def _merges(part, grams, facts, linkage: str, metric: str) -> tuple:
 
 
 def cut_merges(merges: list[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
-    """Labels after the first n - k merges of a ``dendrogram``; clusters are
-    numbered by their lowest original index, ascending."""
+    """Labels after the first n - k merges of a ``dendrogram``, or of a
+    prefix of at least n - k of them; clusters are numbered by their lowest
+    original index, ascending. ValueError if fewer merges are given."""
+    if len(merges) < n - k < n:  # a k outside 1..n is cut_sequences' error
+        raise ValueError(f"k = {k} of {n} points takes {n - k} merges, got {len(merges)}")
     pairs = np.array([m[:2] for m in merges], dtype=np.intp).reshape(-1, 2)
     return cut_sequences((pairs[:, :1], pairs[:, 1:], None), n, [k])[0][0]
 

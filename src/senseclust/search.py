@@ -2,20 +2,14 @@
 hyperparameters, with heatmap and linkage-sweep exports.
 
 The search runs one task per word with gold senses; words without them are
-never clustered. A task builds each context's power-independent terms
-(embedding rows, tf-idf and chi-square values) once, and its power step
-gives the context's vectors under every power pair as stacked matmuls. One
-``cluster.cluster_points`` call, as in a ``cluster`` command's task, takes that
-stack of point sets, one per power pair, and their Gram products as one
-batched product. The power pairs' dendrograms of one (linkage, metric)
-pair then run as one stacked merge loop with cached row minima (a chunk
-below ``cluster._STACK_FLOOR`` point sets runs the per-set loop), and one
-pass over all their merges cuts every k, whichever loop ran. It yields each
-power pair's labelings under every clustering config, which are scored
-against the gold senses with one contingency table and then dropped. A config's
-train ARI combines the per-word scores in gold word order, so it is the
-same float for any worker count. Results are ranked by train ARI
-descending with ties broken by ascending config serialization.
+never clustered. A task vectorizes the word's contexts under every power
+pair at once and hands that stack of point sets, with every clustering
+config, to ``cluster.cluster_points``, as a ``cluster`` command's task does.
+Each power pair's labelings are scored against the gold senses with one
+contingency table and then dropped. A config's train ARI combines the
+per-word scores in gold word order, so it is the same float for any worker
+count. Results are ranked by train ARI descending with ties broken by
+ascending config serialization.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cluster import LINKAGES, ClusteringConfig, cluster_points
+from .cluster import AGGLOMERATIVE_PAIRS, LINKAGES, ClusteringConfig, cluster_points
 from .dataset import Dataset
 from .embeddings import EmbeddingModel
 from .errors import DataError, read_lines
@@ -82,12 +76,10 @@ class SearchSpace:
             self.check_grid(f.name, getattr(self, f.name))
         if not self.power_grid or not self.algorithms:
             raise ValueError("power_grid and algorithms must be non-empty")
-        if "agglomerative" in self.algorithms:
-            if not (self.k_grid and self.linkages and self.metrics):
-                raise ValueError("agglomerative grids must be non-empty")
-        if "affinity_propagation" in self.algorithms and not (
-                self.damping_grid and self.preference_grid):
-            raise ValueError("affinity propagation grids must be non-empty")
+        yielded = {c.algorithm for c in self.clusterings()}
+        for algorithm in self.algorithms:
+            if algorithm not in yielded:
+                raise ValueError(f"{algorithm} grids must be non-empty and yield a config")
 
     @staticmethod
     def check_grid(name: str, values: Sequence) -> None:
@@ -109,12 +101,12 @@ class SearchSpace:
 
     def clusterings(self) -> list[ClusteringConfig]:
         """The clustering configs searched under each power pair, agglomerative
-        first, by linkage, then metric (ward with euclidean only), then k."""
+        first, by linkage, then metric (the pairs it takes), then k."""
         clusterings = []
         if "agglomerative" in self.algorithms:
             clusterings += [ClusteringConfig(linkage=lk, metric=m, n_clusters=k)
                             for lk in self.linkages for m in self.metrics
-                            if lk != "ward" or m == "euclidean" for k in self.k_grid]
+                            if (lk, m) in AGGLOMERATIVE_PAIRS for k in self.k_grid]
         if "affinity_propagation" in self.algorithms:
             clusterings += [ClusteringConfig(algorithm="affinity_propagation", damping=d,
                                              preference=parse_preference(p))

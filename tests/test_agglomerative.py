@@ -480,6 +480,13 @@ def test_cut_merges_rejects_k_outside_one_to_n():
             cut_merges(merges, 4, k)
 
 
+def test_cut_merges_rejects_fewer_than_n_minus_k_merges():
+    # Fewer merges would leave more than k clusters.
+    for merges in ([], [(0, 1, 0.5)]):
+        with pytest.raises(ValueError, match="takes 2 merges"):
+            cut_merges(merges, 3, 1)
+
+
 def test_cosine_zero_vector_distance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     D = pairwise_distances(pts, "cosine")

@@ -571,26 +571,36 @@ def test_grid_search_cli(workspace, capsys):
         assert float(a) <= maxed[(pt, pc)] + 1e-9
 
 
-@pytest.mark.parametrize("space, flag, argv", [
-    ("linkages = average\nk_grid = 3..4\n", "--heatmap-view default",
+NO_AGGLOMERATIVE_CONFIG = "agglomerative grids must be non-empty and yield a config\n"
+
+
+@pytest.mark.parametrize("space, message, argv", [
+    ("linkages = average\nk_grid = 3..4\n", "--heatmap-view default needs",
      ("--out-heatmap", "heat.csv", "--heatmap-view", "default")),
-    ("algorithms = affinity_propagation\ndamping_grid = 0.9\n", "--heatmap-view default",
+    ("algorithms = affinity_propagation\ndamping_grid = 0.9\n",
+     "--heatmap-view default needs",
      ("--out-heatmap", "heat.csv", "--heatmap-view", "default")),
-    ("algorithms = affinity_propagation\n", "--out-sweep", ("--out-sweep", "sweep.csv")),
-], ids=["average-k3-4", "ap-damping-0.9", "ap-sweep"])
+    ("algorithms = affinity_propagation\n", "--out-sweep needs", ("--out-sweep", "sweep.csv")),
+    # ward takes only euclidean, so these spaces yield no agglomerative config
+    ("algorithms = agglomerative\nlinkages = ward\nmetrics = cosine\n",
+     NO_AGGLOMERATIVE_CONFIG, ()),
+    ("linkages = ward\nmetrics = cosine\n", NO_AGGLOMERATIVE_CONFIG,
+     ("--out-sweep", "sweep.csv")),
+], ids=["average-k3-4", "ap-damping-0.9", "ap-sweep", "ward-cosine", "ward-cosine-sweep"])
 def test_grid_search_output_the_space_cannot_fill_fails_before_the_search(
-        workspace, capsys, space, flag, argv):
+        workspace, capsys, space, message, argv):
     run_cli("build-idf", "--corpus", workspace / "corpus.txt",
             "--out", workspace / "idf.tsv")
     (workspace / "space.cfg").write_text("power_grid = 1\n" + space, encoding="utf-8")
     capsys.readouterr()
-    assert run_cli("grid-search", "--embeddings", workspace / "emb.txt",
+    # No embedding file: the space is checked before any table is loaded.
+    assert run_cli("grid-search", "--embeddings", workspace / "missing.txt",
                    "--dataset", workspace / "train.tsv", "--idf", workspace / "idf.tsv",
                    "--space", workspace / "space.cfg",
                    "--out-ranked", workspace / "ranked.csv",
                    *(workspace / a if a.endswith(".csv") else a for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {workspace / 'space.cfg'}: {flag} ")
+    assert err.startswith(f"error: {workspace / 'space.cfg'}: {message}")
     assert not any((workspace / name).exists()
                    for name in ("ranked.csv", "heat.csv", "sweep.csv"))
 

@@ -2,10 +2,11 @@
 level, so an import cycle fails at import time instead of hiding inside a
 function body, only ``errors.py`` opens a text file, to read or to write
 (numpy's file functions count), one ``np.loadtxt`` call parses text
-vectors, only ``cluster.py`` calls the clustering kernels, only
-``dataset.py`` reads a dataset file's layout, only ``text.py`` interns
-strings, no module raises powers with numpy, and no module warns or changes
-the process-wide warning filters, the BLAS thread count or the environment."""
+vectors, only ``cluster.py`` calls the clustering kernels or compares with
+"ward", only ``dataset.py`` reads a dataset file's layout, only ``text.py``
+interns strings, no module raises powers with numpy, and no module warns or
+changes the process-wide warning filters, the BLAS thread count or the
+environment."""
 
 import ast
 import inspect
@@ -185,6 +186,27 @@ def test_only_the_cluster_module_calls_the_clustering_kernels():
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and (name := _called_name(node)) in CLUSTERING_KERNELS]
     assert offenders == []
+
+
+def _compares_with_ward(node: ast.AST) -> bool:
+    """A comparison with the string "ward" as an operand or inside one."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Constant) and n.value == "ward"
+        for operand in (node.left, *node.comparators) for n in ast.walk(operand))
+
+
+def test_only_the_cluster_module_compares_with_ward():
+    # ``cluster.AGGLOMERATIVE_PAIRS`` states once which metrics ward takes,
+    # and ``_merges`` once that ward merges squared euclidean distances. A
+    # comparison with "ward" elsewhere would state a ward rule a second time.
+    # The cluster module must keep its own, or the guard would guard nothing.
+    compares = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        compares[path.name] = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                               if _compares_with_ward(node)]
+    assert compares.pop("cluster.py") != []
+    assert [c for found in compares.values() for c in found] == []
 
 
 # The ``Dataset`` fields that hold the file's header and unparsed rows.

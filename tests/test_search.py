@@ -67,6 +67,9 @@ def test_space_validation():
                     algorithms=("agglomerative",))
     with pytest.raises(ValueError, match="algorithm"):
         SearchSpace(algorithms=("kmeans",))
+    # Every grid is non-empty, but ward takes only euclidean: no agglomerative config.
+    with pytest.raises(ValueError, match="agglomerative grids must be non-empty and yield"):
+        SearchSpace(algorithms=("agglomerative",), linkages=("ward",), metrics=("cosine",))
     # Each grid is checked on its own, also one that no searched algorithm uses.
     with pytest.raises(ValueError, match="n_clusters"):
         SearchSpace(k_grid=(0,), algorithms=("affinity_propagation",))
